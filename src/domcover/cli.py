@@ -7,7 +7,7 @@ Every run emits a single JSON report on stdout:
 The result payload is a pure function of (inputs, seed), so identical
 invocations reproduce byte-identical payloads.  Exit codes: 0 success,
 2 parse error, 3 instance too large, 4 search budget exhausted,
-5 internal invariant failure.
+5 internal invariant failure or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -22,15 +22,18 @@ from pathlib import Path
 
 from . import colorsearch, geometry, paley, solvers, vcnets
 from .core import (
+    domination_hypergraph,
     format_colored_tournament,
     format_tournament,
     parse_colored_tournament,
     parse_tournament,
+    scramble,
 )
 from .errors import (
     BudgetExhaustedError,
     DomcoverError,
     InstanceTooLargeError,
+    InvariantError,
     ParseError,
     SearchFailedError,
 )
@@ -42,9 +45,14 @@ EXIT_BUDGET = 4
 EXIT_INVARIANT = 5
 
 
-def _read(path: str) -> tuple[str, str]:
+def _load(path: str, files: dict[str, str]) -> str:
+    """Read an input file as text and record its digest in the report."""
     data = Path(path).read_bytes()
-    return data.decode(), hashlib.sha256(data).hexdigest()
+    files[path] = hashlib.sha256(data).hexdigest()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise ParseError(1, f"not UTF-8 text: {exc.reason}") from None
 
 
 def _frac(x) -> str:
@@ -78,9 +86,7 @@ def format_points(ps: geometry.PointSet) -> str:
 
 
 def _cmd_dom(args, files):
-    text, digest = _read(args.file)
-    files[args.file] = digest
-    t = parse_tournament(text)
+    t = parse_tournament(_load(args.file, files))
     if args.greedy:
         s = solvers.greedy_dominating_set(t)
         return {"size": len(s), "set": sorted(s), "optimal": False}
@@ -91,9 +97,7 @@ def _cmd_dom(args, files):
 
 
 def _cmd_encl(args, files):
-    text, digest = _read(args.file)
-    files[args.file] = digest
-    ct = parse_colored_tournament(text)
+    ct = parse_colored_tournament(_load(args.file, files))
     if args.method == "exhaustive":
         s = solvers.min_enclosure_set(ct)
         return {"size": len(s), "set": sorted(s), "method": "exhaustive"}
@@ -111,11 +115,7 @@ def _cmd_encl(args, files):
 
 
 def _cmd_scramble(args, files):
-    from .core import scramble
-
-    text, digest = _read(args.file)
-    files[args.file] = digest
-    ct = parse_colored_tournament(text)
+    ct = parse_colored_tournament(_load(args.file, files))
     mask = frozenset(int(c) for c in args.mask.split(",") if c)
     out = scramble(ct, mask)
     formatted = format_colored_tournament(out)
@@ -135,9 +135,7 @@ def _cmd_classify(args, files):
         )
     verified = None
     if args.points:
-        text, digest = _read(args.points)
-        files[args.points] = digest
-        ps = _parse_points_text(text, args.ranks)
+        ps = _parse_points_text(_load(args.points, files), args.ranks)
         if ps.d != 3:
             raise ParseError(1, "classification verification needs 3-dimensional points")
         verified = geometry.verify_classification(ps)
@@ -145,9 +143,7 @@ def _cmd_classify(args, files):
 
 
 def _cmd_boxcover(args, files):
-    text, digest = _read(args.file)
-    files[args.file] = digest
-    ps = _parse_points_text(text, args.ranks)
+    ps = _parse_points_text(_load(args.file, files), args.ranks)
     cert = geometry.box_cover(ps, method=args.method)
     payload = cert.to_json_dict()
     payload["verified"] = cert.verify(ps)
@@ -164,16 +160,12 @@ def _cmd_paley(args, files):
 
 
 def _cmd_refute(args, files):
-    text, digest = _read(args.file)
-    files[args.file] = digest
-    ct = parse_colored_tournament(text)
+    ct = parse_colored_tournament(_load(args.file, files))
     return paley.refute_transitive_coloring(ct).to_json_dict()
 
 
 def _cmd_colorsearch(args, files):
-    text, digest = _read(args.file)
-    files[args.file] = digest
-    t = parse_tournament(text)
+    t = parse_tournament(_load(args.file, files))
     budget = args.budget or colorsearch.SEARCH_BUDGET
     ct = colorsearch.find_transitive_coloring(t, args.k, budget=budget)
     if ct is None:
@@ -187,11 +179,7 @@ def _cmd_colorsearch(args, files):
 
 
 def _cmd_vc(args, files):
-    from .core import domination_hypergraph
-
-    text, digest = _read(args.file)
-    files[args.file] = digest
-    t = parse_tournament(text)
+    t = parse_tournament(_load(args.file, files))
     rep = vcnets.vc_dimension(
         domination_hypergraph(t), mode=args.mode, seed=args.seed or 0, trials=args.trials
     )
@@ -204,11 +192,7 @@ def _cmd_vc(args, files):
 
 
 def _cmd_lp(args, files):
-    from .core import domination_hypergraph
-
-    text, digest = _read(args.file)
-    files[args.file] = digest
-    t = parse_tournament(text)
+    t = parse_tournament(_load(args.file, files))
     sol = solvers.fractional_transversal(domination_hypergraph(t), mode=args.mode)
     if sol.mode == "exact":
         return {
@@ -226,11 +210,7 @@ def _cmd_lp(args, files):
 
 
 def _cmd_epsnet(args, files):
-    from .core import domination_hypergraph
-
-    text, digest = _read(args.file)
-    files[args.file] = digest
-    t = parse_tournament(text)
+    t = parse_tournament(_load(args.file, files))
     h = domination_hypergraph(t)
     sol = solvers.fractional_transversal(h, mode="exact")
     rep = vcnets.epsnet_sample(
@@ -270,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="tournament domination, colorings, box covers, net arithmetic",
     )
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized commands")
-    parser.add_argument("--threads", type=int, default=1, help="parallelism cap (runs use 1)")
     parser.add_argument("--format", choices=["json", "text"], default="json")
     parser.add_argument("--budget", type=int, default=None, help="search node budget")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -278,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dom", help="minimum dominating set of a tournament file")
     p.add_argument("file")
     p.add_argument("--greedy", action="store_true")
-    p.add_argument("--exact", action="store_true", help="default behavior; kept for clarity")
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--ceiling", type=int, default=solvers.EXACT_DOM_CEILING)
     p.set_defaults(run=_cmd_dom)
@@ -381,15 +359,15 @@ def main(argv=None) -> int:
     except (BudgetExhaustedError, SearchFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except AssertionError as exc:
+    except InvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except OSError as exc:
+    except (OSError, DomcoverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except DomcoverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except Exception as exc:  # the CLI promises an exit code, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     elapsed_ms = int((time.monotonic() - started) * 1000)
     report = {
         "command": args.command,

@@ -31,6 +31,7 @@ from .errors import (
     NotTransitivelyColoredError,
     NotTwoColoredError,
     VertexNotFoundError,
+    invariant,
 )
 
 SEARCH_BUDGET = 2_000_000
@@ -127,7 +128,7 @@ def find_transitive_coloring(
     if dfs(0, 0):
         assignment = {e: color[i] for i, e in enumerate(edges)}
         ct = color_tournament(t, k, lambda u, v: assignment[(u, v)])
-        assert verify_transitive_coloring(ct)
+        invariant(verify_transitive_coloring(ct), "search returned a non-transitive class")
         return ct
     return None
 
@@ -242,7 +243,7 @@ def blowup_c3() -> ColoredTournament:
     grown = substitute(seed, 0, seed)       # copy at 0..2, old 1,2 -> 3,4
     grown = substitute(grown, 3, seed)      # copy at 3..5, old 4 -> 6
     grown = substitute(grown, 6, seed)      # copy at 6..8
-    assert grown.n == 9
+    invariant(grown.n == 9, f"blow-up has {grown.n} vertices, expected 9")
     return grown
 
 

@@ -21,11 +21,7 @@ from .errors import (
     SelfLoopError,
 )
 
-try:
-    from gmpy2 import popcount
-except ImportError:  # pragma: no cover
-    def popcount(x):
-        return bin(x).count("1")
+popcount = int.bit_count
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -263,6 +259,18 @@ def verify_transitive_coloring(ct: ColoredTournament) -> bool:
     return all(_masks_transitive(ct.class_out[i]) for i in range(1, ct.k + 1))
 
 
+def scrambled_orientation(ct: ColoredTournament, mask: Iterable[int]) -> Tournament:
+    """Base tournament of ct with every edge whose color lies in mask reversed."""
+    chosen = frozenset(mask)
+    n = ct.n
+    out = [0] * n
+    for c in range(1, ct.k + 1):
+        src = ct.class_in[c] if c in chosen else ct.class_out[c]
+        for v in range(n):
+            out[v] |= src[v]
+    return Tournament(n, tuple(out))
+
+
 def scramble(ct: ColoredTournament, mask: Iterable[int]) -> ColoredTournament:
     """Reverse every edge whose color lies in mask, keeping its color."""
     chosen = frozenset(mask)
@@ -270,14 +278,14 @@ def scramble(ct: ColoredTournament, mask: Iterable[int]) -> ColoredTournament:
     if bad:
         raise ValueError(f"mask colors {sorted(bad)} outside 1..{ct.k}")
     n = ct.n
-    out = [0] * n
     colors = [[0] * n for _ in range(n)]
     for u, v, c in ct.colored_edges():
         if c in chosen:
             u, v = v, u
-        out[u] |= 1 << v
         colors[u][v] = c
-    return ColoredTournament(Tournament(n, tuple(out)), ct.k, tuple(tuple(r) for r in colors))
+    return ColoredTournament(
+        scrambled_orientation(ct, chosen), ct.k, tuple(tuple(r) for r in colors)
+    )
 
 
 def all_color_masks(k: int) -> list[frozenset[int]]:
@@ -362,14 +370,20 @@ def _data_lines(text: str) -> Iterator[tuple[int, list[str]]]:
             yield ln, line.split()
 
 
+def _check_pair_count(head_ln: int, n: int, count: int) -> None:
+    """Reject a header that disagrees with the edge count before sizing anything by it."""
+    if n < 0 or count != n * (n - 1) // 2:
+        raise ParseError(head_ln, f"{count} edge lines for {n} vertices, need n(n-1)/2")
+
+
 def parse_tournament(text: str) -> Tournament:
     rows = _data_lines(text)
     try:
-        ln, header = next(rows)
+        head_ln, header = next(rows)
     except StopIteration:
         raise ParseError(1, "empty input") from None
     if len(header) != 1 or not header[0].isdigit():
-        raise ParseError(ln, f"expected a single vertex count, got {header!r}")
+        raise ParseError(head_ln, f"expected a single vertex count, got {header!r}")
     n = int(header[0])
     edges = []
     for ln, fields in rows:
@@ -379,10 +393,11 @@ def parse_tournament(text: str) -> Tournament:
             edges.append((int(fields[0]), int(fields[1])))
         except ValueError:
             raise ParseError(ln, f"non-integer endpoint in {fields!r}") from None
+    _check_pair_count(head_ln, n, len(edges))
     try:
         return build_tournament(n, edges)
     except ValueError as exc:
-        raise ParseError(ln if edges else 1, str(exc)) from exc
+        raise ParseError(ln, str(exc)) from exc
 
 
 def format_tournament(t: Tournament) -> str:
@@ -394,15 +409,15 @@ def format_tournament(t: Tournament) -> str:
 def parse_colored_tournament(text: str) -> ColoredTournament:
     rows = _data_lines(text)
     try:
-        ln, header = next(rows)
+        head_ln, header = next(rows)
     except StopIteration:
         raise ParseError(1, "empty input") from None
     if len(header) != 2:
-        raise ParseError(ln, f"expected 'n k', got {header!r}")
+        raise ParseError(head_ln, f"expected 'n k', got {header!r}")
     try:
         n, k = int(header[0]), int(header[1])
     except ValueError:
-        raise ParseError(ln, f"non-integer header {header!r}") from None
+        raise ParseError(head_ln, f"non-integer header {header!r}") from None
     tagged = []
     for ln, fields in rows:
         if len(fields) != 3:
@@ -411,10 +426,11 @@ def parse_colored_tournament(text: str) -> ColoredTournament:
             tagged.append((int(fields[0]), int(fields[1]), int(fields[2])))
         except ValueError:
             raise ParseError(ln, f"non-integer field in {fields!r}") from None
+    _check_pair_count(head_ln, n, len(tagged))
     try:
         return build_colored_tournament(n, k, tagged)
     except ValueError as exc:
-        raise ParseError(ln if tagged else 1, str(exc)) from exc
+        raise ParseError(ln, str(exc)) from exc
 
 
 def format_colored_tournament(ct: ColoredTournament) -> str:

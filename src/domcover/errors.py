@@ -7,6 +7,16 @@ class DomcoverError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvariantError(DomcoverError):
+    """A result failed its own certificate check; this is a bug, not bad input."""
+
+
+def invariant(condition: bool, message: str) -> None:
+    """Raise InvariantError unless condition holds; unlike assert, survives -O."""
+    if not condition:
+        raise InvariantError(message)
+
+
 class TournamentBuildError(DomcoverError, ValueError):
     """A proposed edge list does not define a tournament."""
 

@@ -18,12 +18,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .core import ColoredTournament, Tournament, all_color_masks, dominates
+from .core import (
+    ColoredTournament,
+    Tournament,
+    all_color_masks,
+    dominates,
+    scramble,
+    scrambled_orientation,
+)
 from .errors import (
     DimensionMismatchError,
     GeneralPositionError,
     InstanceTooLargeError,
     SearchFailedError,
+    invariant,
 )
 from .solvers import greedy_dominating_set, min_dominating_set
 
@@ -196,24 +204,10 @@ def coordinate_tournament(ps: PointSet) -> ColoredTournament:
 
 def all_scramblings(ps: PointSet) -> list[tuple[frozenset[int], ColoredTournament]]:
     """All 2^(2^(d-1)) scrambled coordinate tournaments of ps."""
-    from .core import scramble
-
     if ps.d > SCRAMBLING_DIMENSION_CEILING:
         raise InstanceTooLargeError(ps.d, SCRAMBLING_DIMENSION_CEILING, "dimension")
     ct = coordinate_tournament(ps)
     return [(mask, scramble(ct, mask)) for mask in all_color_masks(ct.k)]
-
-
-def scrambled_orientation(ct: ColoredTournament, mask: Iterable[int]) -> Tournament:
-    """Base tournament of scramble(ct, mask), computed without recoloring."""
-    chosen = frozenset(mask)
-    n = ct.n
-    out = [0] * n
-    for c in range(1, ct.k + 1):
-        src = ct.class_in[c] if c in chosen else ct.class_out[c]
-        for v in range(n):
-            out[v] |= src[v]
-    return Tournament(n, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +399,7 @@ def box_cover(
                 dom_set = min_dominating_set(base, ceiling=exact_ceiling).vertices
             else:
                 dom_set = greedy_dominating_set(base)
-            assert dominates(base, dom_set)
+            invariant(dominates(base, dom_set), "dominating set misses a vertex")
             kind = cls.kind if cls else "other"
         records.append(
             ScramblingRecord(mask=mask, patterns=patterns, cls=cls, kind=kind, dom_set=dom_set)
@@ -417,8 +411,7 @@ def box_cover(
         if s in union:
             continue
         w = _box_witness(ps, cover, s)
-        if w is None:
-            raise AssertionError("scrambling union failed to cover a point")
+        invariant(w is not None, "scrambling union failed to cover a point")
         witnesses[s] = w
     per_class: dict[str, list[int]] = {}
     for rec in records:
@@ -429,7 +422,7 @@ def box_cover(
         per_class_sizes=per_class,
         scramblings=tuple(records),
     )
-    assert cert.verify(ps)
+    invariant(cert.verify(ps), "box-cover certificate failed to verify")
     return cert
 
 
@@ -509,7 +502,7 @@ def search_extremal_pointset_3d(
     ry = [sum(1 for u in range(n) if u != v and truth(lit("y", u, v))) for v in range(n)]
     rz = [sum(1 for u in range(n) if u != v and truth(lit("z", u, v))) for v in range(n)]
     found = point_set([(i, ry[i], rz[i]) for i in range(n)])
-    assert exists_point_in_box(found) is None
+    invariant(exists_point_in_box(found) is None, "search returned a point inside a box")
     return found
 
 

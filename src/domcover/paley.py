@@ -31,7 +31,8 @@ from .errors import (
     WrongResidueClassError,
 )
 
-PRIME_CEILING = 10**6
+# PT_q costs q^2: q bitmasks of q bits, q(q-1)/2 edge lines as text
+PRIME_CEILING = 2048
 PARADOX_BUDGET = 10_000_000
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import LPInfeasibleError, LPUnboundedError
+from .errors import LPInfeasibleError, LPUnboundedError, invariant
 
 try:
     from gmpy2 import mpq as _Q
@@ -155,15 +155,14 @@ def _check_certificate(c, A, b, x, y, value):
     n = len(c)
     for i, row in enumerate(A):
         lhs = sum((row[j] * x[j] for j in range(n) if row[j]), _ZERO)
-        if lhs > b[i]:
-            raise AssertionError(f"primal constraint {i} violated")
-    if any(v < _ZERO for v in x) or any(v < _ZERO for v in y):
-        raise AssertionError("negative variable in solution")
+        invariant(lhs <= b[i], f"primal constraint {i} violated")
+    invariant(
+        all(v >= _ZERO for v in x) and all(v >= _ZERO for v in y),
+        "negative variable in solution",
+    )
     for j in range(n):
         col = sum((A[i][j] * y[i] for i in range(len(A)) if A[i][j]), _ZERO)
-        if col < c[j]:
-            raise AssertionError(f"dual constraint {j} violated")
+        invariant(col >= c[j], f"dual constraint {j} violated")
     primal = sum((c[j] * x[j] for j in range(n) if c[j]), _ZERO)
     dual = sum((b[i] * y[i] for i in range(len(A)) if b[i]), _ZERO)
-    if not (primal == dual == value):
-        raise AssertionError("strong duality check failed")
+    invariant(primal == dual == value, "strong duality check failed")

@@ -24,9 +24,9 @@ from .core import (
     domination_hypergraph,
     is_enclosure,
     popcount,
-    scramble,
+    scrambled_orientation,
 )
-from .errors import InstanceTooLargeError, NonConvergenceError
+from .errors import InstanceTooLargeError, InvariantError, NonConvergenceError, invariant
 
 EXACT_DOM_CEILING = 100
 EXACT_LP_CEILING = 40
@@ -87,14 +87,13 @@ def min_dominating_set(
     limit: int | None = None,
     *,
     ceiling: int = EXACT_DOM_CEILING,
-    lp_bound: bool = True,
 ) -> Union[DominationCertificate, NoSetWithinLimit]:
     """Minimum dominating set by branch and bound over set cover on H(t).
 
     Branches on the hyperedge (undominated vertex) with the fewest
     candidate dominators; prunes with a coverage bound, seeds with the
-    greedy solution, and optionally with ceil(tau*) from the exact LP on
-    small instances.  With `limit` given, proves dom(t) > limit instead of
+    greedy solution, and with ceil(tau*) from the exact LP on small
+    instances.  With `limit` given, proves dom(t) > limit instead of
     returning a set when the optimum exceeds it.
     """
     n = t.n
@@ -109,7 +108,7 @@ def min_dominating_set(
     bound_desc = f"greedy={best}"
 
     root_lb = 1
-    if lp_bound and n <= EXACT_LP_CEILING:
+    if n <= EXACT_LP_CEILING:
         tau = fractional_transversal(domination_hypergraph(t), mode="exact").value
         root_lb = -(-tau.numerator // tau.denominator)
         bound_desc += f", lp_ceil={root_lb}"
@@ -170,7 +169,7 @@ def exhaustive_min_dominating_set(t: Tournament) -> frozenset[int]:
         for combo in itertools.combinations(range(t.n), size):
             if dominates(t, combo):
                 return frozenset(combo)
-    raise AssertionError("V(t) always dominates")
+    raise InvariantError("V(t) always dominates")
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +189,11 @@ def fractional_transversal(
 ) -> FractionalSolution:
     """Optimal fractional transversal of h (tau*).
 
-    Exact mode solves both the covering LP and the matching LP with the
-    rational simplex and insists the two optima agree; approximate mode
-    runs HiGHS and certifies a primal/dual gap below 1e-9.
+    Exact mode solves the matching LP with the rational simplex and reads
+    the transversal off its exactly checked dual, so value and dual_value
+    agree by strong duality; the weights are one optimal transversal, not
+    a canonical one.  Approximate mode runs HiGHS and certifies a
+    primal/dual gap below 1e-9.
     """
     if mode == "exact":
         if h.n > ceiling:
@@ -212,17 +213,12 @@ def _incidence(h: Hypergraph):
 
 def _exact_transversal(h: Hypergraph) -> FractionalSolution:
     inc = _incidence(h)
-    n = h.n
-    # covering LP: min 1.x st inc.x >= 1  ==  -max -1.x st -inc.x <= -1
-    neg = [[-a for a in row] for row in inc]
-    val, x, _ = simplex.solve_lp_max([-1] * n, neg, [-1] * len(inc))
-    tau = -val
-    # matching LP (the dual), solved independently from a slack basis
-    cols = [[inc[e][v] for e in range(len(inc))] for v in range(n)]
-    nu, y, _ = simplex.solve_lp_max([1] * len(inc), cols, [1] * n)
-    if nu != tau:
-        raise AssertionError(f"LP duality failed: tau*={tau} nu*={nu}")
-    return FractionalSolution(weights=tuple(x), value=tau, mode="exact", dual_value=nu)
+    # matching LP: max 1.y st inc^T y <= 1.  It starts feasible from the
+    # slack basis (no phase 1), and the dual that solve_lp_max checks
+    # exactly is an optimal covering of every hyperedge: tau* = nu*.
+    cols = [[row[v] for row in inc] for v in range(h.n)]
+    nu, _, x = simplex.solve_lp_max([1] * len(inc), cols, [1] * h.n)
+    return FractionalSolution(weights=tuple(x), value=nu, mode="exact", dual_value=nu)
 
 
 def _approximate_transversal(h: Hypergraph, tol: float = 1e-9) -> FractionalSolution:
@@ -314,14 +310,14 @@ def enclosure_via_scramblings(
     For every subset I of the colors, reverse the classes in I and take a
     dominating set of the result (exact by default, greedy otherwise); the
     union over all 2^k subsets encloses the original tournament, which is
-    asserted before returning.
+    checked before returning.
     """
     if ct.k > SCRAMBLING_COLOR_CEILING:
         raise InstanceTooLargeError(ct.k, SCRAMBLING_COLOR_CEILING, "color count")
     union: set[int] = set()
     sizes = {}
     for mask in all_color_masks(ct.k):
-        scrambled = scramble(ct, mask).base
+        scrambled = scrambled_orientation(ct, mask)
         if exact:
             cert = min_dominating_set(scrambled, ceiling=ceiling)
             dom_set = cert.vertices
@@ -330,6 +326,6 @@ def enclosure_via_scramblings(
         union |= dom_set
         sizes[mask] = len(dom_set)
     result = ScramblingEnclosure(vertices=frozenset(union), mask_set_sizes=sizes)
-    assert is_enclosure(ct, result.vertices), "scrambling union failed to enclose"
-    assert len(result.vertices) <= result.size_sum
+    invariant(is_enclosure(ct, result.vertices), "scrambling union failed to enclose")
+    invariant(len(result.vertices) <= result.size_sum, "union larger than its parts")
     return result

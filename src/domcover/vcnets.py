@@ -37,6 +37,20 @@ def _max_traces(edge_masks, subset: tuple[int, ...]) -> int:
     return len({m & smask for m in edge_masks})
 
 
+def _subsets(
+    h: Hypergraph, size: int, mode: str, rng: random.Random, trials: int, budget: int
+) -> Iterable[tuple[int, ...]]:
+    """Every size-subset of h's vertices in exact mode, else `trials` samples from rng."""
+    if size > h.n:
+        raise ValueError(f"subset size {size} exceeds {h.n} vertices")
+    if mode == "exact":
+        total = math.comb(h.n, size)
+        if total > budget:
+            raise InstanceTooLargeError(total, budget, "subset count")
+        return itertools.combinations(range(h.n), size)
+    return (tuple(rng.sample(range(h.n), size)) for _ in range(trials))
+
+
 def vc_dimension(
     h: Hypergraph,
     mode: str = "exact",
@@ -60,14 +74,10 @@ def vc_dimension(
     counts: dict[int, int] = {}
     rng = random.Random(seed)
     for size in range(1, min(max_h, h.n) + 1):
-        if mode == "exact":
-            subsets: Iterable[tuple[int, ...]] = itertools.combinations(range(h.n), size)
-        else:
-            subsets = (tuple(rng.sample(range(h.n), size)) for _ in range(trials))
         best = 0
         shattered = None
         want = 1 << size
-        for subset in subsets:
+        for subset in _subsets(h, size, mode, rng, trials, SHATTER_SUBSET_BUDGET):
             got = _max_traces(masks, subset)
             if got > best:
                 best = got
@@ -98,16 +108,7 @@ def shatter_function(
     """
     if n == 0:
         return 1
-    if n > h.n:
-        raise ValueError(f"subset size {n} exceeds {h.n} vertices")
-    if mode == "exact":
-        total = math.comb(h.n, n)
-        if total > budget:
-            raise InstanceTooLargeError(total, budget, "subset count")
-        subsets: Iterable[tuple[int, ...]] = itertools.combinations(range(h.n), n)
-    else:
-        rng = random.Random(seed)
-        subsets = (tuple(rng.sample(range(h.n), n)) for _ in range(trials))
+    subsets = _subsets(h, n, mode, random.Random(seed), trials, budget)
     return max(_max_traces(h.edge_masks, s) for s in subsets)
 
 
@@ -122,18 +123,8 @@ def shatter_function_k(
     budget: int = SHATTER_SUBSET_BUDGET,
 ) -> int:
     """Like shatter_function, counting only traces of cardinality exactly k."""
-    if n > h.n:
-        raise ValueError(f"subset size {n} exceeds {h.n} vertices")
-    if mode == "exact":
-        total = math.comb(h.n, n)
-        if total > budget:
-            raise InstanceTooLargeError(total, budget, "subset count")
-        subsets: Iterable[tuple[int, ...]] = itertools.combinations(range(h.n), n)
-    else:
-        rng = random.Random(seed)
-        subsets = (tuple(rng.sample(range(h.n), n)) for _ in range(trials))
     best = 0
-    for subset in subsets:
+    for subset in _subsets(h, n, mode, random.Random(seed), trials, budget):
         smask = mask_of(subset)
         traces = {t for m in h.edge_masks if popcount(t := m & smask) == k}
         best = max(best, len(traces))

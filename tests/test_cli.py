@@ -1,6 +1,4 @@
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -37,7 +35,7 @@ def pt7_colored_file(tmp_path):
 
 
 def test_dom_exact(c3_file, capsys):
-    code, report = run_cli(capsys, "dom", c3_file, "--exact")
+    code, report = run_cli(capsys, "dom", c3_file)
     assert code == 0
     assert report["result"] == {"size": 2, "set": [0, 1], "optimal": True}
     assert report["command"] == "dom"
@@ -181,6 +179,12 @@ def test_exit_code_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("3\n0 1\n0 1\n")  # duplicate pair
     assert main(["dom", str(path)]) == 2
+    path.write_text("20000000\n")  # header alone, rejected before sizing by it
+    assert main(["dom", str(path)]) == 2
+    path.write_text("20000000 3\n")
+    assert main(["encl", str(path)]) == 2
+    path.write_bytes(b"3\n\xff\xfe\n")
+    assert main(["dom", str(path)]) == 2
 
 
 def test_exit_code_instance_too_large(c3_file):
@@ -203,11 +207,17 @@ def test_text_format_output(c3_file, capsys):
     assert code == 0 and "size: 2" in out
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "domcover.cli", "netbound", "--a", "17", "--b", "14"],
-        capture_output=True,
-        text=True,
-    )
+def test_module_entry_point(run_python):
+    proc = run_python("-m", "domcover.cli", "netbound", "--a", "17", "--b", "14")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["feasible"] is True
+
+
+def test_unexpected_error_exits_5_without_traceback(tmp_path, run_python):
+    # the colour search recurses once per edge, so 1770 edges overflow the stack
+    path = tmp_path / "t60.txt"
+    path.write_text(format_tournament(transitive_tournament(60)))
+    proc = run_python("-m", "domcover.cli", "colorsearch", str(path), "--k", "2")
+    assert proc.returncode == 5
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("internal error")

@@ -216,6 +216,17 @@ def test_parse_errors_carry_line_numbers():
         parse_colored_tournament("3\n0 1 1\n")  # header missing k
 
 
+def test_parse_rejects_wrong_pair_count_at_the_header():
+    # a 9-byte header must not size anything: the pair count is checked first
+    for parse, text in ((parse_tournament, "# big\n20000000\n"),
+                        (parse_colored_tournament, "# big\n20000000 3\n"),
+                        (parse_tournament, "3\n0 1\n1 2\n"),
+                        (parse_colored_tournament, "-1 1\n0 1 1\n")):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.line_no == (2 if text.startswith("#") else 1)
+
+
 def test_build_colored_tournament_validates_colors():
     with pytest.raises(ValueError):
         build_colored_tournament(2, 1, [(0, 1, 2)])

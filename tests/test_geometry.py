@@ -110,7 +110,28 @@ def test_scrambled_orientation_matches_scramble():
     ps = random_point_set(10, 3, rng)
     ct = coordinate_tournament(ps)
     for mask in ({1}, {2, 3}, {1, 2, 3, 4}, set()):
-        assert scrambled_orientation(ct, mask) == scramble(ct, mask).base
+        base = scrambled_orientation(ct, mask)
+        assert base == scramble(ct, mask).base
+        for u, v, c in ct.colored_edges():
+            assert base.has_edge(*((v, u) if c in mask else (u, v)))
+
+
+def test_box_cover_invariants_survive_optimize_flag(run_python):
+    script = """
+import random
+from domcover import geometry
+from domcover.errors import InvariantError
+from domcover.solvers import DominationCertificate
+assert False, "this line only runs without -O"
+geometry.min_dominating_set = lambda t, **kw: DominationCertificate(frozenset({0}), 1, True, "")
+try:
+    geometry.box_cover(geometry.random_point_set(12, 3, random.Random(0)))
+except InvariantError as exc:
+    print("InvariantError:", exc)
+"""
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InvariantError:")
 
 
 def test_classification_counts_6_8_2():

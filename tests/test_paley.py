@@ -42,6 +42,9 @@ def test_params_validation():
         paley_params(9)
     with pytest.raises(NotPrimeError):
         paley_params(15)
+    with pytest.raises(InstanceTooLargeError):
+        paley_params(999983)  # prime, 3 mod 4, but q^2 bits is far too large
+    assert len(paley_params(1019).residues) == 509
 
 
 def test_residue_counts_and_minus_one():

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from domcover.errors import LPInfeasibleError, LPUnboundedError
-from domcover.simplex import solve_lp_max
+from domcover.errors import InvariantError, LPInfeasibleError, LPUnboundedError
+from domcover.simplex import _check_certificate, solve_lp_max
 
 
 def test_textbook_maximization():
@@ -37,6 +37,14 @@ def test_infeasible():
 def test_unbounded():
     with pytest.raises(LPUnboundedError):
         solve_lp_max([1, 0], [[0, 1]], [1])
+
+
+def test_certificate_check_rejects_every_broken_part():
+    # max x st x <= 1: the optimum is x = 1 with dual y = 1, value 1
+    _check_certificate([1], [[1]], [1], [1], [1], 1)
+    for x, y, value in (([2], [1], 1), ([1], [-1], 1), ([1], [0], 1), ([1], [1], 2)):
+        with pytest.raises(InvariantError):
+            _check_certificate([1], [[1]], [1], x, y, value)
 
 
 def test_fractional_optimum_is_exact():

@@ -100,6 +100,24 @@ def test_tau_star_pt7():
     assert sol.value < 2
 
 
+def test_exact_transversal_is_one_checked_simplex_solve(monkeypatch):
+    from domcover import simplex
+
+    calls = []
+    real = simplex.solve_lp_max
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simplex, "solve_lp_max", counted)
+    h = domination_hypergraph(paley_tournament(11))
+    sol = fractional_transversal(h)
+    assert len(calls) == 1
+    assert sol.value == sol.dual_value == sum(sol.weights)
+    assert verify_fractional_transversal(h, sol)
+
+
 def test_tau_star_below_two_and_duality():
     rng = random.Random(77)
     for _ in range(60):
