@@ -6,8 +6,8 @@ Every run emits a single JSON report on stdout:
 
 The result payload is a pure function of (inputs, seed), so identical
 invocations reproduce byte-identical payloads.  Exit codes: 0 success,
-2 parse error, 3 instance too large, 4 search budget exhausted,
-5 internal invariant failure or any other unexpected error.
+2 parse error or bad argument, 3 instance too large, 4 search budget
+exhausted, 5 internal invariant failure or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -362,7 +362,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (OSError, DomcoverError) as exc:
+    except (OSError, DomcoverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except Exception as exc:  # the CLI promises an exit code, never a traceback

@@ -20,6 +20,7 @@ from .core import (
     bits,
     build_tournament,
     color_tournament,
+    max_colors,
     rainbow_triangle,
     transitive_tournament,
     verify_transitive_coloring,
@@ -55,6 +56,8 @@ def find_transitive_coloring(
     instead, which proves nothing.
     """
     n = t.n
+    if not 1 <= k <= max_colors(n):
+        raise ValueError(f"color count {k} outside 1..{max_colors(n)}")
     edges = [(u, v) for u in range(n) for v in bits(t.out[u])]
     # grow the instance one vertex at a time: all edges inside {0..m} come
     # before edges touching m+1, which keeps propagation local and early
@@ -124,7 +127,7 @@ def find_transitive_coloring(
         return False
 
     if not edges:
-        return color_tournament(t, max(k, 1), lambda u, v: 1)
+        return color_tournament(t, k, lambda u, v: 1)
     if dfs(0, 0):
         assignment = {e: color[i] for i, e in enumerate(edges)}
         ct = color_tournament(t, k, lambda u, v: assignment[(u, v)])

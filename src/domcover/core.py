@@ -376,6 +376,12 @@ def _check_pair_count(head_ln: int, n: int, count: int) -> None:
         raise ParseError(head_ln, f"{count} edge lines for {n} vertices, need n(n-1)/2")
 
 
+def max_colors(n: int) -> int:
+    """Largest colour count accepted for n vertices: one class per edge, but
+    at least two, so that every permutation tournament fits."""
+    return max(2, n * (n - 1) // 2)
+
+
 def parse_tournament(text: str) -> Tournament:
     rows = _data_lines(text)
     try:
@@ -427,6 +433,8 @@ def parse_colored_tournament(text: str) -> ColoredTournament:
         except ValueError:
             raise ParseError(ln, f"non-integer field in {fields!r}") from None
     _check_pair_count(head_ln, n, len(tagged))
+    if not 1 <= k <= max_colors(n):
+        raise ParseError(head_ln, f"color count {k} outside 1..{max_colors(n)}")
     try:
         return build_colored_tournament(n, k, tagged)
     except ValueError as exc:

@@ -366,19 +366,14 @@ def _extreme_vertex(ps: PointSet, axis: int, direction: str) -> int:
     return min(range(ps.n), key=key) if direction == "ascending" else max(range(ps.n), key=key)
 
 
-def box_cover(
-    ps: PointSet,
-    *,
-    method: str = "exact",
-    exact_ceiling: int = BOX_COVER_EXACT_CEILING,
-) -> BoxCoverCertificate:
+def box_cover(ps: PointSet, *, method: str = "exact") -> BoxCoverCertificate:
     """Cover ps by the union of dominating sets of all its scrambled tournaments.
 
     Dictatorship reversals are dominated by a single extreme point and are
     handled in closed form; the rest go to the exact solver (or greedy when
-    the instance exceeds `exact_ceiling` or method="greedy").  The returned
-    certificate carries a box witness for every uncovered point and has
-    been verified before returning.
+    the instance exceeds BOX_COVER_EXACT_CEILING or method="greedy").  The
+    returned certificate carries a box witness for every uncovered point
+    and has been verified before returning.
     """
     if ps.d > SCRAMBLING_DIMENSION_CEILING:
         raise InstanceTooLargeError(ps.d, SCRAMBLING_DIMENSION_CEILING, "dimension")
@@ -395,8 +390,8 @@ def box_cover(
             kind = "dictatorship"
         else:
             base = scrambled_orientation(ct, mask)
-            if method == "exact" and ps.n <= exact_ceiling:
-                dom_set = min_dominating_set(base, ceiling=exact_ceiling).vertices
+            if method == "exact" and ps.n <= BOX_COVER_EXACT_CEILING:
+                dom_set = min_dominating_set(base, ceiling=BOX_COVER_EXACT_CEILING).vertices
             else:
                 dom_set = greedy_dominating_set(base)
             invariant(dominates(base, dom_set), "dominating set misses a vertex")

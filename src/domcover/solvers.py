@@ -21,7 +21,6 @@ from .core import (
     all_color_masks,
     bits,
     dominates,
-    domination_hypergraph,
     is_enclosure,
     popcount,
     scrambled_orientation,
@@ -39,7 +38,6 @@ class DominationCertificate:
     vertices: frozenset[int]
     size: int
     optimal: bool
-    lower_bound_used: str
 
 
 @dataclass(frozen=True)
@@ -91,30 +89,27 @@ def min_dominating_set(
     """Minimum dominating set by branch and bound over set cover on H(t).
 
     Branches on the hyperedge (undominated vertex) with the fewest
-    candidate dominators; prunes with a coverage bound, seeds with the
-    greedy solution, and with ceil(tau*) from the exact LP on small
-    instances.  With `limit` given, proves dom(t) > limit instead of
-    returning a set when the optimum exceeds it.
+    candidate dominators; seeds with the greedy solution and prunes with
+    the coverage bound ceil(|uncovered| / best coverage).  At the root
+    that bound is 1 when a vertex beats all others and 2 otherwise, which
+    is ceil(tau*) on every tournament, so no LP is needed.  With `limit`
+    given, proves dom(t) > limit instead of returning a set when the
+    optimum exceeds it.
     """
     n = t.n
     if n > ceiling:
         raise InstanceTooLargeError(n, ceiling, "tournament")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
     cover = [(1 << v) | t.out[v] for v in range(t.n)]
     hyper = [(1 << v) | t.in_masks[v] for v in range(t.n)]  # dominators of v
 
     greedy = sorted(greedy_dominating_set(t))
     best_set = list(greedy)
     best = len(greedy)
-    bound_desc = f"greedy={best}"
-
-    root_lb = 1
-    if n <= EXACT_LP_CEILING:
-        tau = fractional_transversal(domination_hypergraph(t), mode="exact").value
-        root_lb = -(-tau.numerator // tau.denominator)
-        bound_desc += f", lp_ceil={root_lb}"
-
-    cap = best if limit is None else min(best, limit + 1)
     full = t.full_mask
+    root_lb = _cover_lower_bound(full, cover)
+    cap = best if limit is None else min(best, limit + 1)
 
     def dfs(uncovered: int, chosen: list[int], cap: int) -> tuple[int, list[int] | None]:
         """Try to beat `cap`: returns (best_size_found, set) with size < cap, else (cap, None)."""
@@ -155,12 +150,7 @@ def min_dominating_set(
 
     if limit is not None and best > limit:
         return NoSetWithinLimit(limit=limit, lower_bound=max(limit + 1, root_lb))
-    return DominationCertificate(
-        vertices=frozenset(best_set),
-        size=best,
-        optimal=True,
-        lower_bound_used=bound_desc,
-    )
+    return DominationCertificate(vertices=frozenset(best_set), size=best, optimal=True)
 
 
 def exhaustive_min_dominating_set(t: Tournament) -> frozenset[int]:
@@ -184,9 +174,7 @@ class FractionalSolution:
     dual_value: Fraction | float
 
 
-def fractional_transversal(
-    h: Hypergraph, mode: str = "exact", *, ceiling: int = EXACT_LP_CEILING
-) -> FractionalSolution:
+def fractional_transversal(h: Hypergraph, mode: str = "exact") -> FractionalSolution:
     """Optimal fractional transversal of h (tau*).
 
     Exact mode solves the matching LP with the rational simplex and reads
@@ -196,8 +184,8 @@ def fractional_transversal(
     primal/dual gap below 1e-9.
     """
     if mode == "exact":
-        if h.n > ceiling:
-            raise InstanceTooLargeError(h.n, ceiling, "hypergraph")
+        if h.n > EXACT_LP_CEILING:
+            raise InstanceTooLargeError(h.n, EXACT_LP_CEILING, "hypergraph")
         return _exact_transversal(h)
     if mode == "approximate":
         return _approximate_transversal(h)
@@ -269,17 +257,15 @@ def verify_fractional_transversal(h: Hypergraph, sol: FractionalSolution) -> boo
 # enclosure sets
 
 
-def min_enclosure_set(
-    ct: ColoredTournament, *, ceiling: int = ENCLOSURE_CEILING
-) -> frozenset[int]:
+def min_enclosure_set(ct: ColoredTournament) -> frozenset[int]:
     """Smallest S such that every outside vertex is between two members of S.
 
     Plain cardinality-increasing exhaustive search; the whole vertex set
     always works, so the search terminates.
     """
     n = ct.n
-    if n > ceiling:
-        raise InstanceTooLargeError(n, ceiling, "colored tournament")
+    if n > ENCLOSURE_CEILING:
+        raise InstanceTooLargeError(n, ENCLOSURE_CEILING, "colored tournament")
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):
             if is_enclosure(ct, combo):
@@ -300,10 +286,7 @@ class ScramblingEnclosure:
 
 
 def enclosure_via_scramblings(
-    ct: ColoredTournament,
-    *,
-    exact: bool = True,
-    ceiling: int = EXACT_DOM_CEILING,
+    ct: ColoredTournament, *, exact: bool = True
 ) -> ScramblingEnclosure:
     """Enclosure set built from one dominating set per scrambling.
 
@@ -319,8 +302,7 @@ def enclosure_via_scramblings(
     for mask in all_color_masks(ct.k):
         scrambled = scrambled_orientation(ct, mask)
         if exact:
-            cert = min_dominating_set(scrambled, ceiling=ceiling)
-            dom_set = cert.vertices
+            dom_set = min_dominating_set(scrambled).vertices
         else:
             dom_set = greedy_dominating_set(scrambled)
         union |= dom_set

@@ -57,7 +57,6 @@ def vc_dimension(
     *,
     seed: int = 0,
     trials: int = 2000,
-    ceiling: int = VC_EXHAUSTIVE_CEILING,
 ) -> ShatterReport:
     """Largest shattered subset size, with a witness.
 
@@ -65,8 +64,8 @@ def vc_dimension(
     shattered set; sampled mode only ever certifies lower bounds and is
     flagged by exact=False.
     """
-    if mode == "exact" and h.n > ceiling:
-        raise InstanceTooLargeError(h.n, ceiling, "hypergraph")
+    if mode == "exact" and h.n > VC_EXHAUSTIVE_CEILING:
+        raise InstanceTooLargeError(h.n, VC_EXHAUSTIVE_CEILING, "hypergraph")
     masks = h.edge_masks
     # 2^h distinct traces must come from n hyperedges, so h < log2(n)+1
     max_h = max(1, math.ceil(math.log2(len(masks) + 1)))
@@ -132,7 +131,7 @@ def shatter_function_k(
 
 
 # ---------------------------------------------------------------------------
-# exact binomials, two independent ways
+# reference binomials: two paths independent of math.comb, for cross-checks
 
 
 def binomial_pascal(n: int, k: int) -> int:
@@ -167,8 +166,8 @@ def parity_trace_bound(n: int, k: int) -> int:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     cells = (n + 1) ** 3
-    too_low = binomial_pascal(k + 2, 3)
-    too_high = binomial_pascal(n - k + 1, 3)
+    too_low = math.comb(k + 2, 3)
+    too_high = math.comb(n - k + 1, 3)
     return (cells - too_low - too_high) // 2
 
 
@@ -209,13 +208,13 @@ def epsnet_feasibility(a: int, b: int, variant: str = "refined") -> FeasibilityR
     n = a + b
     if variant == "cube":
         lhs = Fraction((1 << b) * (n + 1) ** 3)
-        rhs = Fraction(binomial_pascal(n, b))
+        rhs = Fraction(math.comb(n, b))
     elif variant == "halved":
         lhs = Fraction((1 << b) * (((n + 1) ** 3 + 1) // 2))
-        rhs = Fraction(binomial_pascal(n, b))
+        rhs = Fraction(math.comb(n, b))
     elif variant == "refined":
         lhs = Fraction(parity_trace_bound(n, b))
-        rhs = Fraction(binomial_pascal(n, b), 1 << b)
+        rhs = Fraction(math.comb(n, b), 1 << b)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return FeasibilityReport(

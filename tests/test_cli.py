@@ -9,6 +9,7 @@ from domcover.core import (
     format_tournament,
     parse_colored_tournament,
     parse_tournament,
+    rainbow_triangle,
     transitive_tournament,
 )
 from domcover.paley import paley_tournament, pt7_transitive_coloring
@@ -185,6 +186,24 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert main(["encl", str(path)]) == 2
     path.write_bytes(b"3\n\xff\xfe\n")
     assert main(["dom", str(path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["scramble", "{colored}", "--mask", "9"],
+    ["scramble", "{colored}", "--mask", "x"],
+    ["epsnet", "{c3}", "--a", "1", "--b", "1", "--trials", "0"],
+    ["netbound", "--a", "0", "--b", "0"],
+    ["dom", "{c3}", "--limit", "-1"],
+    ["colorsearch", "{c3}", "--k", "0"],
+    ["colorsearch", "{c3}", "--k", "4"],
+])
+def test_bad_arguments_exit_2(argv, c3_file, tmp_path, capsys):
+    colored = tmp_path / "rainbow.txt"
+    colored.write_text(format_colored_tournament(rainbow_triangle()))
+    argv = [a.format(c3=c3_file, colored=colored) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_exit_code_instance_too_large(c3_file):

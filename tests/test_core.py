@@ -27,6 +27,7 @@ from domcover.core import (
     transitive_tournament,
     verify_transitive_coloring,
 )
+from domcover.colorsearch import permutation_tournament
 from domcover.errors import (
     DuplicatePairError,
     MissingPairError,
@@ -221,10 +222,21 @@ def test_parse_rejects_wrong_pair_count_at_the_header():
     for parse, text in ((parse_tournament, "# big\n20000000\n"),
                         (parse_colored_tournament, "# big\n20000000 3\n"),
                         (parse_tournament, "3\n0 1\n1 2\n"),
-                        (parse_colored_tournament, "-1 1\n0 1 1\n")):
+                        (parse_colored_tournament, "-1 1\n0 1 1\n"),
+                        (parse_colored_tournament, "3 0\n0 1 1\n1 2 1\n2 0 1\n"),
+                        (parse_colored_tournament, "3 4\n0 1 1\n1 2 2\n2 0 3\n"),
+                        (parse_colored_tournament, "# big\n3 200000\n0 1 1\n1 2 1\n2 0 1\n"),
+                        (parse_colored_tournament, "2 3\n0 1 1\n")):
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert exc.value.line_no == (2 if text.startswith("#") else 1)
+
+
+def test_parse_accepts_two_colors_on_any_size():
+    # a permutation tournament of length 1 or 2 has fewer edges than colours
+    for values in ((1,), (2, 1)):
+        ct = permutation_tournament(values)
+        assert parse_colored_tournament(format_colored_tournament(ct)) == ct
 
 
 def test_build_colored_tournament_validates_colors():

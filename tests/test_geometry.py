@@ -123,7 +123,7 @@ from domcover import geometry
 from domcover.errors import InvariantError
 from domcover.solvers import DominationCertificate
 assert False, "this line only runs without -O"
-geometry.min_dominating_set = lambda t, **kw: DominationCertificate(frozenset({0}), 1, True, "")
+geometry.min_dominating_set = lambda t, **kw: DominationCertificate(frozenset({0}), 1, True)
 try:
     geometry.box_cover(geometry.random_point_set(12, 3, random.Random(0)))
 except InvariantError as exc:

@@ -1,8 +1,13 @@
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from domcover import simplex
 from domcover.core import (
     cyclic_triangle,
     dominates,
@@ -13,10 +18,12 @@ from domcover.core import (
     rainbow_triangle,
     random_coloring,
     random_tournament,
+    tournament_from_bits,
     transitive_tournament,
 )
 from domcover.errors import InstanceTooLargeError
-from domcover.paley import paley_tournament
+from domcover.geometry import box_cover, coordinate_tournament, random_point_set
+from domcover.paley import paley_tournament, pt7_transitive_coloring
 from domcover.solvers import (
     DominationCertificate,
     NoSetWithinLimit,
@@ -74,6 +81,69 @@ def test_pt19_oracle_no_triple_dominates():
 
     t = paley_tournament(19)
     assert not any(dominates(t, c) for c in itertools.combinations(range(19), 3))
+
+
+def _refuse_lp(*args):
+    raise RuntimeError("solve_lp_max reached")
+
+
+def _ceil_tau(t) -> int:
+    return math.ceil(fractional_transversal(domination_hypergraph(t)).value)
+
+
+def test_branch_and_bound_never_solves_an_lp(monkeypatch):
+    rng = random.Random(20261018)
+    instances = [paley_tournament(7), paley_tournament(31)]
+    instances += [random_tournament(rng.randint(2, 40), rng) for _ in range(12)]
+    # ceil(tau*) from the exact LP, before the LP is taken away
+    ceil_tau = [_ceil_tau(t) for t in instances]
+    monkeypatch.setattr(simplex, "solve_lp_max", _refuse_lp)
+    for t, lb in zip(instances, ceil_tau):
+        cert = min_dominating_set(t)
+        assert dominates(t, cert.vertices)
+        if t.n <= 14:
+            assert cert.size == len(exhaustive_min_dominating_set(t))
+        for limit in range(cert.size):
+            res = min_dominating_set(t, limit=limit)
+            assert res == NoSetWithinLimit(limit=limit, lower_bound=max(limit + 1, lb))
+        assert min_dominating_set(t, limit=cert.size) == cert
+    assert sorted(min_dominating_set(paley_tournament(7)).vertices) == [0, 1, 2]
+    assert sorted(min_dominating_set(paley_tournament(31)).vertices) == [0, 1, 2, 4]
+
+
+def test_scrambling_covers_never_solve_an_lp(monkeypatch):
+    monkeypatch.setattr(simplex, "solve_lp_max", _refuse_lp)
+    res = enclosure_via_scramblings(pt7_transitive_coloring())
+    assert sorted(res.vertices) == [0, 1, 2, 4, 5, 6]
+    assert res.size_sum == 12
+    ct = coordinate_tournament(random_point_set(14, 3, random.Random(14)))
+    res = enclosure_via_scramblings(ct)
+    assert sorted(res.vertices) == [0, 1, 2, 3, 4, 5, 6, 8, 9, 11]
+    assert res.size_sum == 23
+    cert = box_cover(random_point_set(24, 3, random.Random(24)))
+    assert cert.cover == (0, 1, 2, 3, 4, 7, 9, 11, 12, 18, 21)
+    assert [sorted(r.dom_set) for r in cert.scramblings] == [
+        [12], [4, 11], [2, 9], [4], [12], [11], [3, 7], [0, 4],
+        [12], [1, 12], [21], [0, 2], [12], [7], [0, 18], [0],
+    ]
+
+
+@st.composite
+def small_tournaments(draw):
+    n = draw(st.integers(1, 9))
+    return tournament_from_bits(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_tournaments())
+def test_branch_and_bound_matches_oracle_and_lp_bound(t):
+    lb = _ceil_tau(t)
+    with mock.patch.object(simplex, "solve_lp_max", _refuse_lp):
+        cert = min_dominating_set(t)
+        assert cert.size == len(exhaustive_min_dominating_set(t))
+        for limit in range(cert.size):
+            res = min_dominating_set(t, limit=limit)
+            assert res.lower_bound == max(limit + 1, lb)
 
 
 # ---------------------------------------------------------------------------
