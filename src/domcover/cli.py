@@ -233,7 +233,7 @@ def _cmd_netbound(args, files):
         return {
             "variant": args.variant,
             "feasible": [r.to_json_dict() for r in reports],
-            "best_bound": vcnets.best_feasible_bound(args.amax, args.bmax, args.variant),
+            "best_bound": min((r.a for r in reports), default=None),
         }
     if args.a is None or args.b is None:
         raise ParseError(0, "netbound needs --a and --b (or --scan)")

@@ -1,79 +1,80 @@
-"""Exact rational simplex with Bland's anti-cycling rule.
+"""Exact fraction-free simplex with Bland's anti-cycling rule.
 
-Solves  max c.x  subject to  A x <= b,  x >= 0  over exact rationals
-(gmpy2.mpq when available, fractions.Fraction otherwise), two-phase when
-some right-hand side is negative.  Small and dense on purpose: the
-instances here have at most a few dozen rows.
+Solves  max c.x  subject to  A x <= b,  x >= 0  exactly, two-phase when
+some right-hand side is negative.  Rational data is first cleared by one
+common denominator L; the tableau then holds Python ints over one common
+positive denominator `den`, and each pivot is integer-preserving
+(Edmonds 1967, Bareiss 1968): every division is exact and no gcd is
+taken.  The pivots are those of the same tableau kept in rationals.
+Small and dense on purpose: the instances here have at most a few dozen
+rows.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import LPInfeasibleError, LPUnboundedError, invariant
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
-
-_ZERO = _Q(0)
-_ONE = _Q(1)
-
-
-def to_fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
-
 
 class _Tableau:
     def __init__(self, rows, basis, ncols):
-        self.rows = rows            # each row: ncols coeffs + rhs appended
+        self.rows = rows            # each row: ncols int coeffs + rhs, over den
         self.basis = basis          # basic variable index per row
         self.ncols = ncols
+        self.den = 1                # |det| of the basis matrix, always > 0
 
-    def pivot(self, r, j):
-        rows = self.rows
+    def pivot(self, r, j, z=None):
+        """Pivot on (r, j); z, the objective row, is updated in place."""
+        rows, den = self.rows, self.den
         prow = rows[r]
         piv = prow[j]
-        inv = _ONE / piv
-        rows[r] = prow = [v * inv for v in prow]
-        for i, row in enumerate(rows):
-            if i != r and row[j]:
+        if piv < 0:
+            rows[r] = prow = [-v for v in prow]
+            piv = -piv
+        # every other row becomes (piv*a - f*p) / den, exact by Sylvester's
+        # identity: its entries are minors of the integer input tableau
+        for row in rows if z is None else (*rows, z):
+            if row is not prow:
                 f = row[j]
-                rows[i] = [a - f * p for a, p in zip(row, prow)]
+                if f:
+                    row[:] = [(piv * a - f * p) // den for a, p in zip(row, prow)]
+                elif piv != den:
+                    row[:] = [piv * a // den for a in row]
+        self.den = piv
         self.basis[r] = j
 
     def run(self, cost, allowed):
-        """Maximize, Bland's rule: returns objective row (reduced costs + value)."""
-        ncols = self.ncols
-        z = list(cost) + [_ZERO]
-        for r, bv in enumerate(self.basis):
-            if z[bv]:
-                f = z[bv]
-                z = [a - f * p for a, p in zip(z, self.rows[r])]
+        """Maximize, Bland's rule: returns the objective row over den.
+
+        Entry j is den times the reduced cost of column j; the last entry
+        is den times minus the objective value.
+        """
+        rows, basis = self.rows, self.basis
+        z = [self.den * v for v in cost] + [0]
+        for row, bv in zip(rows, basis):
+            f = cost[bv]
+            if f:
+                z = [a - f * p for a, p in zip(z, row)]
         while True:
-            enter = -1
-            for j in range(ncols):
-                if allowed[j] and z[j] > _ZERO:
-                    enter = j
-                    break
+            enter = next((j for j in range(self.ncols) if allowed[j] and z[j] > 0), -1)
             if enter < 0:
                 return z
-            leave, best = -1, None
-            for i, row in enumerate(self.rows):
+            # ratio test rhs/a by cross-multiplication; ties to the lowest basis index
+            leave = -1
+            for i, row in enumerate(rows):
                 a = row[enter]
-                if a > _ZERO:
-                    ratio = row[-1] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        leave, best = i, ratio
+                if a > 0:
+                    if leave < 0:
+                        leave = i
+                        continue
+                    lhs, rhs = row[-1] * rows[leave][enter], rows[leave][-1] * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave = i
             if leave < 0:
                 raise LPUnboundedError("objective unbounded above")
-            self.pivot(leave, enter)
-            f = z[enter]
-            if f:
-                z = [a - f * p for a, p in zip(z, self.rows[leave])]
+            self.pivot(leave, enter, z)
 
 
 def solve_lp_max(c, A, b):
@@ -84,25 +85,25 @@ def solve_lp_max(c, A, b):
     duality verified before returning.
     """
     m, n = len(A), len(c)
-    c = [_Q(v) for v in c]
-    A = [[_Q(v) for v in row] for row in A]
-    b = [_Q(v) for v in b]
+    c = [Fraction(v) for v in c]
+    A = [[Fraction(v) for v in row] for row in A]
+    b = [Fraction(v) for v in b]
+    # scaling every entry by L keeps x and y and multiplies the value by L
+    scale = math.lcm(*(v.denominator for row in (c, b, *A) for v in row))
 
-    nart = sum(1 for v in b if v < _ZERO)
+    def scaled(vals):
+        return [v.numerator * (scale // v.denominator) for v in vals]
+
+    nart = sum(1 for v in b if v < 0)
     ncols = n + m + nart
     rows, basis = [], []
     art = n + m
-    for i in range(m):
-        row = [_ZERO] * (ncols + 1)
-        neg = b[i] < _ZERO
-        sgn = -_ONE if neg else _ONE
-        for j in range(n):
-            if A[i][j]:
-                row[j] = sgn * A[i][j]
+    for i, (a_row, rhs) in enumerate(zip(A, scaled(b))):
+        sgn = -1 if rhs < 0 else 1
+        row = [sgn * v for v in scaled(a_row)] + [0] * (m + nart) + [sgn * rhs]
         row[n + i] = sgn
-        row[-1] = sgn * b[i]
-        if neg:
-            row[art] = _ONE
+        if sgn < 0:
+            row[art] = 1
             basis.append(art)
             art += 1
         else:
@@ -113,11 +114,9 @@ def solve_lp_max(c, A, b):
 
     if nart:
         allowed = [True] * ncols
-        w = [_ZERO] * ncols
-        for j in range(n + m, ncols):
-            w[j] = -_ONE
+        w = [0] * (n + m) + [-1] * nart
         zrow = tab.run(w, allowed)
-        if zrow[-1] != _ZERO:
+        if zrow[-1] != 0:
             # the value slot holds minus the phase-1 objective, so any
             # nonzero here means some artificial is stuck above zero
             raise LPInfeasibleError("no feasible point")
@@ -134,35 +133,32 @@ def solve_lp_max(c, A, b):
                     tab.pivot(r, piv)
 
     allowed = [j < n + m for j in range(ncols)]
-    z = tab.run(c + [_ZERO] * (ncols - n), allowed)
+    z = tab.run(scaled(c) + [0] * (ncols - n), allowed)
 
-    x = [_ZERO] * n
+    den = tab.den
+    x = [Fraction(0)] * n
     for r, bv in enumerate(tab.basis):
         if bv < n:
-            x[bv] = tab.rows[r][-1]
-    y = [-z[n + i] for i in range(m)]
-    value = -z[-1]  # the value slot holds minus the objective
+            x[bv] = Fraction(tab.rows[r][-1], den)
+    y = [Fraction(-z[n + i], den) for i in range(m)]
+    value = Fraction(-z[-1], den * scale)  # the value slot holds minus the objective
 
     _check_certificate(c, A, b, x, y, value)
-    return (
-        to_fraction(value),
-        [to_fraction(v) for v in x],
-        [to_fraction(v) for v in y],
-    )
+    return value, x, y
 
 
 def _check_certificate(c, A, b, x, y, value):
     n = len(c)
     for i, row in enumerate(A):
-        lhs = sum((row[j] * x[j] for j in range(n) if row[j]), _ZERO)
+        lhs = sum((row[j] * x[j] for j in range(n) if row[j]), Fraction(0))
         invariant(lhs <= b[i], f"primal constraint {i} violated")
     invariant(
-        all(v >= _ZERO for v in x) and all(v >= _ZERO for v in y),
+        all(v >= 0 for v in x) and all(v >= 0 for v in y),
         "negative variable in solution",
     )
     for j in range(n):
-        col = sum((A[i][j] * y[i] for i in range(len(A)) if A[i][j]), _ZERO)
+        col = sum((A[i][j] * y[i] for i in range(len(A)) if A[i][j]), Fraction(0))
         invariant(col >= c[j], f"dual constraint {j} violated")
-    primal = sum((c[j] * x[j] for j in range(n) if c[j]), _ZERO)
-    dual = sum((b[i] * y[i] for i in range(len(A)) if b[i]), _ZERO)
+    primal = sum((c[j] * x[j] for j in range(n) if c[j]), Fraction(0))
+    dual = sum((b[i] * y[i] for i in range(len(A)) if b[i]), Fraction(0))
     invariant(primal == dual == value, "strong duality check failed")

@@ -22,6 +22,7 @@ from .errors import InfeasibleWeightsError, InstanceTooLargeError
 
 VC_EXHAUSTIVE_CEILING = 22
 SHATTER_SUBSET_BUDGET = 2_000_000
+NETBOUND_SCAN_CEILING = 200  # largest a_max or b_max a feasibility scan takes
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,8 @@ def _subsets(
         if total > budget:
             raise InstanceTooLargeError(total, budget, "subset count")
         return itertools.combinations(range(h.n), size)
+    if trials < 1:
+        raise ValueError("need at least one sampled subset")
     return (tuple(rng.sample(range(h.n), size)) for _ in range(trials))
 
 
@@ -227,6 +230,9 @@ def feasibility_scan(
     a_max: int, b_max: int, variant: str = "refined"
 ) -> list[FeasibilityReport]:
     """All feasible (a, b) reports with a <= a_max, b <= b_max."""
+    for bound in (a_max, b_max):
+        if not 1 <= bound <= NETBOUND_SCAN_CEILING:
+            raise ValueError(f"scan bounds must lie in 1..{NETBOUND_SCAN_CEILING}")
     out = []
     for a in range(1, a_max + 1):
         for b in range(1, b_max + 1):
@@ -284,6 +290,8 @@ def epsnet_sample(
             raise InfeasibleWeightsError("weights do not cover every hyperedge")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if net_size < 1 or tail_size < 0:
+        raise ValueError("need a net size of at least 1 and a tail size of at least 0")
     total = sum(weights)
     heavy = [
         m for m, members in zip(h.edge_masks, h.edges)

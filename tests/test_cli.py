@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -170,6 +171,15 @@ def test_netbound_single_and_scan(capsys):
     assert report["result"]["best_bound"] == min(r["a"] for r in report["result"]["feasible"])
 
 
+def test_netbound_default_scan_payload_is_pinned(capsys):
+    code, report = run_cli(capsys, "netbound", "--scan")
+    result = report["result"]
+    assert code == 0 and result["best_bound"] == 17 and len(result["feasible"]) == 726
+    # the whole 40x40 refined payload, byte for byte
+    digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+    assert digest == "d39b6d8a771244eb17005d794b17c440c215fb06a4172eee936bf06b493f465c"
+
+
 def test_reproducible_payloads(c3_file, capsys):
     _, first = run_cli(capsys, "--seed", "9", "epsnet", c3_file, "--a", "2", "--b", "1", "--trials", "100")
     _, second = run_cli(capsys, "--seed", "9", "epsnet", c3_file, "--a", "2", "--b", "1", "--trials", "100")
@@ -196,6 +206,15 @@ def test_exit_code_parse_error(tmp_path, capsys):
     ["dom", "{c3}", "--limit", "-1"],
     ["colorsearch", "{c3}", "--k", "0"],
     ["colorsearch", "{c3}", "--k", "4"],
+    ["epsnet", "{c3}", "--a", "-5", "--b", "1", "--trials", "3"],
+    ["epsnet", "{c3}", "--a", "0", "--b", "1", "--trials", "3"],
+    ["epsnet", "{c3}", "--a", "1", "--b", "-1", "--trials", "3"],
+    ["vc", "{c3}", "--mode", "sampled", "--trials", "-1"],
+    ["vc", "{c3}", "--mode", "sampled", "--trials", "0"],
+    ["netbound", "--scan", "--amax", "201"],
+    ["netbound", "--scan", "--bmax", "201"],
+    ["netbound", "--scan", "--amax", "1000000000", "--bmax", "1000000000"],
+    ["netbound", "--scan", "--amax", "0"],
 ])
 def test_bad_arguments_exit_2(argv, c3_file, tmp_path, capsys):
     colored = tmp_path / "rainbow.txt"

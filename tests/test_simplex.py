@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domcover.errors import InvariantError, LPInfeasibleError, LPUnboundedError
 from domcover.simplex import _check_certificate, solve_lp_max
@@ -15,11 +17,13 @@ def test_textbook_maximization():
 
 def test_phase_one_covering():
     # min x0 + x1 st x0 + x1 >= 1, x1 >= 1/2  (negated to <= form)
-    value, x, _ = solve_lp_max(
+    value, x, y = solve_lp_max(
         [-1, -1], [[-1, -1], [0, -1]], [-1, Fraction(-1, 2)]
     )
     assert -value == 1
     assert x[0] + x[1] == 1 and x[1] >= Fraction(1, 2)
+    # the dual, min -y0 - y1/2 st y0 <= 1, y0 + y1 <= 1, has the unique optimum (1, 0)
+    assert y == [1, 0]
 
 
 def test_degenerate_redundant_constraints():
@@ -72,3 +76,41 @@ def test_agrees_with_float_solver_on_random_instances():
             [-v for v in c], A_ub=A, b_ub=b, bounds=[(0, None)] * n, method="highs"
         )
         assert abs(float(value) + ref.fun) < 1e-7
+
+
+_ENTRIES = st.builds(
+    Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4, 6])
+)
+
+
+@st.composite
+def small_lps(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    c = draw(st.lists(_ENTRIES, min_size=n, max_size=n))
+    A = [draw(st.lists(_ENTRIES, min_size=n, max_size=n)) for _ in range(m)]
+    b = draw(st.lists(_ENTRIES, min_size=m, max_size=m))
+    return c, A, b
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_lps())
+def test_agrees_with_highs_on_mixed_denominators_and_phase_one(lp):
+    from scipy.optimize import linprog
+
+    c, A, b = lp
+    ref = linprog(
+        [-float(v) for v in c],
+        A_ub=[[float(v) for v in row] for row in A],
+        b_ub=[float(v) for v in b],
+        bounds=[(0, None)] * len(c),
+        method="highs",
+    )
+    try:
+        value, _, _ = solve_lp_max(c, A, b)
+    except LPInfeasibleError:
+        assert ref.status == 2
+    except LPUnboundedError:
+        assert ref.status == 3
+    else:
+        assert ref.status == 0
+        assert abs(float(value) + ref.fun) < 1e-9

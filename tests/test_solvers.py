@@ -188,6 +188,60 @@ def test_exact_transversal_is_one_checked_simplex_solve(monkeypatch):
     assert verify_fractional_transversal(h, sol)
 
 
+# (n, tau*, weights) of fractional_transversal on the tournaments drawn by
+# _golden_random(), as the Fraction-pivoting simplex returned them
+GOLDEN_RANDOM_TRANSVERSALS = [
+    (10, "3/2", "0 1/2 0 0 0 0 0 1/2 0 1/2"),
+    (14, "17/10", "0 2/5 0 0 1/10 0 0 0 1/5 2/5 1/5 3/10 0 1/10"),
+    (6, "3/2", "0 0 1/2 1/2 0 1/2"),
+    (24, "1116/617",
+     "0 0 0 42/617 0 64/617 167/617 0 182/617 49/617 0 88/617 0 "
+     "184/617 54/617 0 99/617 7/617 0 122/617 20/617 0 13/617 25/617"),
+    (22, "1404/755",
+     "94/755 0 0 98/453 47/453 218/2265 71/755 0 491/2265 40/453 "
+     "112/2265 24/151 52/2265 0 0 10/453 70/453 314/2265 266/2265 "
+     "109/755 0 84/755"),
+    (14, "26/15", "1/10 0 7/30 0 0 1/3 0 2/15 1/15 0 0 1/5 11/30 3/10"),
+    (19, "32/19", "0 0 7/19 0 10/19 0 0 2/19 0 3/19 0 1/19 0 6/19 2/19 1/19 0 0 0"),
+    (8, "3/2", "1/2 1/2 0 0 0 0 1/2 0"),
+    (16, "9/5", "8/25 3/25 1/25 0 6/25 11/25 4/25 3/25 7/25 0 2/25 0 0 0 0 0"),
+    (18, "45/26", "1/13 0 3/26 0 0 0 0 3/13 0 5/13 0 0 5/13 1/13 0 1/26 3/13 5/26"),
+    (7, "8/5", "1/5 0 1/5 0 2/5 3/5 1/5"),
+    (4, "3/2", "1/2 1/2 0 1/2"),
+    (4, "1", "1 0 0 0"),
+    (11, "1", "0 0 0 0 0 0 0 0 1 0 0"),
+    (5, "3/2", "1/2 1/2 1/2 0 0"),
+    (5, "3/2", "1/2 0 1/2 1/2 0"),
+    (4, "1", "0 0 1 0"),
+    (7, "5/3", "1/3 0 2/3 0 0 1/3 1/3"),
+    (8, "3/2", "0 1/2 0 0 1/2 0 1/2 0"),
+    (3, "1", "1 0 0"),
+]
+
+
+def _golden_random():
+    rng = random.Random(4)
+    for _ in range(20):
+        yield random_tournament(rng.randint(3, 24), rng)
+
+
+def test_exact_transversal_weights_are_pinned():
+    # Paley and transitive tournaments have closed-form optima that the
+    # simplex returns exactly: uniform 2/(q+1), and all weight on vertex 0,
+    # which beats every other vertex
+    for q in (7, 11, 19, 23, 31):
+        sol = fractional_transversal(domination_hypergraph(paley_tournament(q)))
+        assert sol.value == Fraction(2 * q, q + 1)
+        assert sol.weights == (Fraction(2, q + 1),) * q
+    for n in (10, 20, 30, 40):
+        sol = fractional_transversal(domination_hypergraph(transitive_tournament(n)))
+        assert sol.value == 1 and sol.weights == (1,) + (0,) * (n - 1)
+    for t, (n, value, weights) in zip(_golden_random(), GOLDEN_RANDOM_TRANSVERSALS, strict=True):
+        sol = fractional_transversal(domination_hypergraph(t))
+        assert t.n == n and sol.value == Fraction(value)
+        assert sol.weights == tuple(Fraction(w) for w in weights.split())
+
+
 def test_tau_star_below_two_and_duality():
     rng = random.Random(77)
     for _ in range(60):
