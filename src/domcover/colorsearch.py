@@ -65,7 +65,6 @@ def find_transitive_coloring(
     index = {e: i for i, e in enumerate(edges)}
     color = [0] * len(edges)
     out = [[0] * n for _ in range(k + 1)]  # per color, per vertex, bitmask
-    nodes = 0
 
     def closure_requirements(u: int, v: int, c: int):
         """Edges forced to color c when u->v joins class c."""
@@ -109,26 +108,33 @@ def find_transitive_coloring(
             i += 1
         return i
 
-    def dfs(pos: int, used: int) -> bool:
-        nonlocal nodes
-        pos = next_unassigned(pos)
-        if pos == len(edges):
-            return True
-        u, v = edges[pos]
-        for c in range(1, min(used + 1, k) + 1):
+    def dfs() -> bool:
+        # explicit stack, one frame per branching edge:
+        # [pos, used, next color to try, trail of the color being tried]
+        nodes = 0
+        frames = [[next_unassigned(0), 0, 1, []]]
+        while frames:
+            frame = frames[-1]
+            pos, used, c, trail = frame
+            if pos == len(edges):
+                return True
+            undo(trail)
+            if c > min(used + 1, k):
+                frames.pop()
+                continue
             nodes += 1
             if nodes > budget:
                 raise BudgetExhaustedError(budget)
-            trail: list = []
+            trail = []
+            frame[2:] = c + 1, trail
+            u, v = edges[pos]
             if assign(u, v, c, trail):
-                if dfs(pos + 1, max(used, c)):
-                    return True
-            undo(trail)
+                frames.append([next_unassigned(pos + 1), max(used, c), 1, []])
         return False
 
     if not edges:
         return color_tournament(t, k, lambda u, v: 1)
-    if dfs(0, 0):
+    if dfs():
         assignment = {e: color[i] for i, e in enumerate(edges)}
         ct = color_tournament(t, k, lambda u, v: assignment[(u, v)])
         invariant(verify_transitive_coloring(ct), "search returned a non-transitive class")

@@ -41,7 +41,11 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 @dataclass(frozen=True)
 class Tournament:
-    """Complete antisymmetric orientation on n labeled vertices."""
+    """Complete antisymmetric orientation on n labeled vertices.
+
+    Constructors must orient each pair u != v exactly once and set no bit v
+    in out[v]; in_masks reads the in-neighbors off as the complement.
+    """
 
     n: int
     out: tuple[int, ...]
@@ -52,14 +56,8 @@ class Tournament:
 
     @cached_property
     def in_masks(self) -> tuple[int, ...]:
-        ins = [0] * self.n
-        for u in range(self.n):
-            m = self.out[u]
-            while m:
-                low = m & -m
-                ins[low.bit_length() - 1] |= 1 << u
-                m ^= low
-        return tuple(ins)
+        full = self.full_mask
+        return tuple(full ^ (1 << v) ^ m for v, m in enumerate(self.out))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.out[u] >> v) & 1)

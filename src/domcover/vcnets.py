@@ -23,6 +23,7 @@ from .errors import InfeasibleWeightsError, InstanceTooLargeError
 VC_EXHAUSTIVE_CEILING = 22
 SHATTER_SUBSET_BUDGET = 2_000_000
 NETBOUND_SCAN_CEILING = 200  # largest a_max or b_max a feasibility scan takes
+EPSNET_DRAW_BUDGET = 10**7  # largest trials * net_size an epsnet sample takes
 
 
 @dataclass(frozen=True)
@@ -276,11 +277,12 @@ def epsnet_sample(
 ) -> EpsnetReport:
     """Empirical success rate of the random half-net draw.
 
-    Per trial, net_size+tail_size points are drawn i.i.d. from the
-    normalized weight vector (inverse CDF over Python's Mersenne Twister;
-    trial t uses random.Random(seed + t), so runs reproduce exactly).  A
-    trial succeeds when the first net_size draws hit every hyperedge of
-    fractional measure at least 1/2.
+    Per trial, net_size points are drawn i.i.d. from the normalized weight
+    vector (inverse CDF over Python's Mersenne Twister; trial t uses
+    random.Random(seed + t), so runs reproduce exactly).  A trial succeeds
+    when the draws hit every hyperedge of fractional measure at least 1/2.
+    The tail_size further draws of the half-net argument cannot change
+    that verdict, so they are not drawn.
     """
     weights = list(getattr(weights, "weights", weights))
     if len(weights) != h.n or any(w < 0 for w in weights):
@@ -292,6 +294,8 @@ def epsnet_sample(
         raise ValueError("need at least one trial")
     if net_size < 1 or tail_size < 0:
         raise ValueError("need a net size of at least 1 and a tail size of at least 0")
+    if trials * net_size > EPSNET_DRAW_BUDGET:
+        raise ValueError(f"trials * net size must be at most {EPSNET_DRAW_BUDGET}")
     total = sum(weights)
     heavy = [
         m for m, members in zip(h.edge_masks, h.edges)
@@ -305,8 +309,7 @@ def epsnet_sample(
     successes = 0
     for t in range(trials):
         rng = random.Random(seed + t)
-        draws = [bisect.bisect_right(cdf, rng.random()) for _ in range(net_size + tail_size)]
-        net = mask_of(draws[:net_size])
+        net = mask_of(bisect.bisect_right(cdf, rng.random()) for _ in range(net_size))
         if all(m & net for m in heavy):
             successes += 1
     return EpsnetReport(

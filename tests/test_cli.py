@@ -146,6 +146,18 @@ def test_colorsearch_found(tmp_path, capsys):
     assert verify_transitive_coloring(ct)
 
 
+def test_colorsearch_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # 1770 edges, one search level each
+    path = tmp_path / "t60.txt"
+    path.write_text(format_tournament(transitive_tournament(60)))
+    code, report = run_cli(capsys, "colorsearch", str(path), "--k", "1")
+    assert code == 0 and report["result"]["found"] is True
+    ct = parse_colored_tournament(report["result"]["coloring_text"])
+    from domcover.core import verify_transitive_coloring
+
+    assert ct.base == transitive_tournament(60) and verify_transitive_coloring(ct)
+
+
 def test_vc_and_lp(c3_file, capsys):
     code, report = run_cli(capsys, "vc", c3_file)
     assert code == 0 and report["result"]["vc"] == 1
@@ -160,6 +172,20 @@ def test_epsnet(c3_file, capsys):
     assert code == 0
     assert 0 < report["result"]["success_rate"] < 1
     assert report["seed"] == 5
+
+
+def test_epsnet_payloads_are_pinned(c3_file, capsys):
+    # the tail draws never decide a trial, so drawing only the net keeps every count
+    code, report = run_cli(capsys, "--seed", "5", "epsnet", c3_file, "--a", "2", "--b", "2", "--trials", "300")
+    assert code == 0 and report["result"] == {
+        "net_size": 2, "tail_size": 2, "trials": 300, "successes": 206,
+        "success_rate": 0.6866666666666666, "heavy_edges": 3, "tau_star": "3/2",
+    }
+    code, report = run_cli(capsys, "--seed", "9", "epsnet", c3_file, "--a", "2", "--b", "1", "--trials", "100")
+    assert code == 0 and report["result"] == {
+        "net_size": 2, "tail_size": 1, "trials": 100, "successes": 70,
+        "success_rate": 0.7, "heavy_edges": 3, "tau_star": "3/2",
+    }
 
 
 def test_netbound_single_and_scan(capsys):
@@ -215,6 +241,7 @@ def test_exit_code_parse_error(tmp_path, capsys):
     ["netbound", "--scan", "--bmax", "201"],
     ["netbound", "--scan", "--amax", "1000000000", "--bmax", "1000000000"],
     ["netbound", "--scan", "--amax", "0"],
+    ["epsnet", "{c3}", "--a", "4000000", "--b", "0", "--trials", "3"],
 ])
 def test_bad_arguments_exit_2(argv, c3_file, tmp_path, capsys):
     colored = tmp_path / "rainbow.txt"
@@ -251,11 +278,17 @@ def test_module_entry_point(run_python):
     assert json.loads(proc.stdout)["result"]["feasible"] is True
 
 
-def test_unexpected_error_exits_5_without_traceback(tmp_path, run_python):
-    # the colour search recurses once per edge, so 1770 edges overflow the stack
-    path = tmp_path / "t60.txt"
-    path.write_text(format_tournament(transitive_tournament(60)))
-    proc = run_python("-m", "domcover.cli", "colorsearch", str(path), "--k", "2")
+def test_unexpected_error_exits_5_without_traceback(c3_file, run_python):
+    # a fault no handler expects, planted in the colour search
+    script = f"""
+import sys
+from domcover import cli, colorsearch
+def overflow(*args, **kwargs):
+    raise RecursionError("maximum recursion depth exceeded")
+colorsearch.find_transitive_coloring = overflow
+sys.exit(cli.main(["colorsearch", {c3_file!r}, "--k", "2"]))
+"""
+    proc = run_python("-c", script)
     assert proc.returncode == 5
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("internal error")

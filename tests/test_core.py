@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domcover.core import (
     all_colorings,
@@ -24,6 +26,7 @@ from domcover.core import (
     random_coloring,
     random_tournament,
     scramble,
+    tournament_from_bits,
     transitive_tournament,
     verify_transitive_coloring,
 )
@@ -242,3 +245,21 @@ def test_parse_accepts_two_colors_on_any_size():
 def test_build_colored_tournament_validates_colors():
     with pytest.raises(ValueError):
         build_colored_tournament(2, 1, [(0, 1, 2)])
+
+
+@st.composite
+def tournaments_up_to_12(draw):
+    n = draw(st.integers(0, 12))
+    return tournament_from_bits(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tournaments_up_to_12())
+def test_in_masks_is_the_transpose_of_out(t):
+    transpose = [0] * t.n
+    for u in range(t.n):
+        for v in range(t.n):
+            if (t.out[u] >> v) & 1:
+                transpose[v] |= 1 << u
+    assert t.in_masks == tuple(transpose)
+    assert t.reverse().reverse() == t

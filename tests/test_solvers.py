@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -126,6 +128,21 @@ def test_scrambling_covers_never_solve_an_lp(monkeypatch):
         [12], [4, 11], [2, 9], [4], [12], [11], [3, 7], [0, 4],
         [12], [1, 12], [21], [0, 2], [12], [7], [0, 18], [0],
     ]
+
+
+def test_d4_box_cover_is_pinned():
+    cert = box_cover(random_point_set(40, 4, random.Random(40)))
+    assert cert.cover == (
+        0, 1, 2, 3, 4, 6, 7, 9, 11, 12, 13, 14, 15, 16, 18, 19, 20, 24, 26, 27,
+        28, 29, 30, 32, 33, 35, 36, 37, 39,
+    )
+    # the 256 per-scrambling dominating sets, in scrambling order
+    dom_sets = [sorted(r.dom_set) for r in cert.scramblings]
+    assert len(dom_sets) == 256 and dom_sets[:8] == [
+        [11], [3, 11], [0, 28], [3, 18], [11, 15], [3, 35], [3, 18], [18],
+    ]
+    digest = hashlib.sha256(json.dumps(dom_sets).encode()).hexdigest()
+    assert digest == "8fbb55a29f6c89671f73b8d1e065366e8f8b2bf6bb49c64ac8efdd0229b0f14f"
 
 
 @st.composite
