@@ -88,6 +88,8 @@ def format_points(ps: geometry.PointSet) -> str:
 def _cmd_dom(args, files):
     t = parse_tournament(_load(args.file, files))
     if args.greedy:
+        if args.limit is not None:
+            raise ValueError("--limit needs the exact search, not --greedy")
         s = solvers.greedy_dominating_set(t)
         return {"size": len(s), "set": sorted(s), "optimal": False}
     res = solvers.min_dominating_set(t, limit=args.limit, ceiling=args.ceiling)
@@ -166,7 +168,7 @@ def _cmd_refute(args, files):
 
 def _cmd_colorsearch(args, files):
     t = parse_tournament(_load(args.file, files))
-    budget = args.budget or colorsearch.SEARCH_BUDGET
+    budget = colorsearch.SEARCH_BUDGET if args.budget is None else args.budget
     ct = colorsearch.find_transitive_coloring(t, args.k, budget=budget)
     if ct is None:
         return {"k": args.k, "found": False, "proven_none": True, "coloring_text": None}

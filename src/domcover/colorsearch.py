@@ -58,6 +58,8 @@ def find_transitive_coloring(
     n = t.n
     if not 1 <= k <= max_colors(n):
         raise ValueError(f"color count {k} outside 1..{max_colors(n)}")
+    if budget < 1:
+        raise ValueError(f"search budget must be at least 1 node, got {budget}")
     edges = [(u, v) for u in range(n) for v in bits(t.out[u])]
     # grow the instance one vertex at a time: all edges inside {0..m} come
     # before edges touching m+1, which keeps propagation local and early

@@ -80,6 +80,16 @@ def _cover_lower_bound(uncovered: int, cover) -> int:
     return -(-need // best)
 
 
+def _dominators(uncovered: int, hyper, full: int) -> int:
+    """D(U): the vertices that dominate every vertex of `uncovered`."""
+    d = full
+    while uncovered and d:
+        low = uncovered & -uncovered
+        d &= hyper[low.bit_length() - 1]
+        uncovered ^= low
+    return d
+
+
 def min_dominating_set(
     t: Tournament,
     limit: int | None = None,
@@ -92,11 +102,20 @@ def min_dominating_set(
     candidate dominators; seeds with the greedy solution and prunes with
     the coverage bound ceil(|uncovered| / best coverage).  At the root
     that bound is 1 when a vertex beats all others and 2 otherwise, which
-    is ceil(tau*) on every tournament, so no LP is needed.  With `limit`
-    given, proves dom(t) > limit instead of returning a set when the
-    optimum exceeds it.
+    is ceil(tau*) on every tournament, so no LP is needed.
+
+    The last level is finished by dominator intersection: when one more
+    vertex may be chosen, the uncovered set U is finished exactly by the
+    vertices of D(U), the AND of the dominator masks of U, and the lowest
+    one is taken.  One level up, each candidate's child is finished the
+    same way inline, with no coverage bound or candidate sort.  Both rules
+    return the set the generic search would, so certificates do not
+    depend on them.  With `limit` given, proves dom(t) > limit instead of
+    returning a set when the optimum exceeds it.
     """
     n = t.n
+    if ceiling < 1:
+        raise ValueError(f"ceiling must be at least 1, got {ceiling}")
     if n > ceiling:
         raise InstanceTooLargeError(n, ceiling, "tournament")
     if limit is not None and limit < 0:
@@ -118,6 +137,14 @@ def min_dominating_set(
         depth = len(chosen)
         if depth + 1 >= cap:
             return cap, None
+        if depth + 2 == cap:
+            # one vertex left: it finishes U iff it lies in D(U).  Every such
+            # vertex ties on the sort key below, so the generic search would
+            # pick D(U)'s lowest bit.
+            d = _dominators(uncovered, hyper, full)
+            if not d:
+                return cap, None
+            return depth + 1, chosen + [(d & -d).bit_length() - 1]
         # cheapest uncovered vertex = fewest candidate dominators
         pick, pick_mask, pick_size = -1, 0, n + 1
         m = uncovered
@@ -129,6 +156,24 @@ def min_dominating_set(
             if s < pick_size:
                 pick, pick_mask, pick_size = v, h, s
             m ^= low
+        if depth + 3 == cap:
+            # every child is a final level, so finish each one inline.  The
+            # answer is the finisher the sorted order below would reach
+            # first: fewest vertices left, then lowest index.  Failing nodes
+            # thus need neither the sort nor the coverage bound.
+            best_rem, best_pair = n + 1, None
+            for v in bits(pick_mask):
+                rem = uncovered & ~cover[v]
+                if not rem:
+                    return depth + 1, chosen + [v]
+                r = popcount(rem)
+                if r < best_rem:
+                    d = _dominators(rem, hyper, full)
+                    if d:
+                        best_rem, best_pair = r, [v, (d & -d).bit_length() - 1]
+            if best_pair is None:
+                return cap, None
+            return depth + 2, chosen + best_pair
         if depth + _cover_lower_bound(uncovered, cover) >= cap:
             return cap, None
         cands = sorted(bits(pick_mask), key=lambda v: -popcount(cover[v] & uncovered))

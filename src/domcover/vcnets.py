@@ -24,6 +24,7 @@ VC_EXHAUSTIVE_CEILING = 22
 SHATTER_SUBSET_BUDGET = 2_000_000
 NETBOUND_SCAN_CEILING = 200  # largest a_max or b_max a feasibility scan takes
 EPSNET_DRAW_BUDGET = 10**7  # largest trials * net_size an epsnet sample takes
+SAMPLED_TRIALS_BUDGET = 10**5  # most subsets a sampled scan draws per size
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,8 @@ def _subsets(
         if total > budget:
             raise InstanceTooLargeError(total, budget, "subset count")
         return itertools.combinations(range(h.n), size)
-    if trials < 1:
-        raise ValueError("need at least one sampled subset")
+    if not 1 <= trials <= SAMPLED_TRIALS_BUDGET:
+        raise ValueError(f"sampled trials must lie in 1..{SAMPLED_TRIALS_BUDGET}")
     return (tuple(rng.sample(range(h.n), size)) for _ in range(trials))
 
 
@@ -132,31 +133,6 @@ def shatter_function_k(
         traces = {t for m in h.edge_masks if popcount(t := m & smask) == k}
         best = max(best, len(traces))
     return best
-
-
-# ---------------------------------------------------------------------------
-# reference binomials: two paths independent of math.comb, for cross-checks
-
-
-def binomial_pascal(n: int, k: int) -> int:
-    """C(n, k) by Pascal's triangle in plain big integers."""
-    if k < 0 or k > n:
-        return 0
-    row = [1]
-    for _ in range(n):
-        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
-    return row[k]
-
-
-def binomial_multiplicative(n: int, k: int) -> int:
-    """C(n, k) by the factorial-free product formula; cross-check path."""
-    if k < 0 or k > n:
-        return 0
-    k = min(k, n - k)
-    num = 1
-    for i in range(1, k + 1):
-        num = num * (n - k + i) // i
-    return num
 
 
 def parity_trace_bound(n: int, k: int) -> int:

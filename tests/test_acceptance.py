@@ -44,12 +44,31 @@ from domcover.solvers import (
     fractional_transversal,
     min_dominating_set,
 )
-from domcover.vcnets import (
-    binomial_multiplicative,
-    binomial_pascal,
-    epsnet_feasibility,
-    vc_dimension,
-)
+from domcover.vcnets import epsnet_feasibility, vc_dimension
+
+
+# reference binomials: two paths independent of math.comb, for cross-checks
+
+
+def binomial_pascal(n: int, k: int) -> int:
+    """C(n, k) by Pascal's triangle in plain big integers."""
+    if k < 0 or k > n:
+        return 0
+    row = [1]
+    for _ in range(n):
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+    return row[k]
+
+
+def binomial_multiplicative(n: int, k: int) -> int:
+    """C(n, k) by the factorial-free product formula."""
+    if k < 0 or k > n:
+        return 0
+    k = min(k, n - k)
+    num = 1
+    for i in range(1, k + 1):
+        num = num * (n - k + i) // i
+    return num
 
 
 def _report(num, budget_s, started, detail=""):

@@ -242,6 +242,11 @@ def test_exit_code_parse_error(tmp_path, capsys):
     ["netbound", "--scan", "--amax", "1000000000", "--bmax", "1000000000"],
     ["netbound", "--scan", "--amax", "0"],
     ["epsnet", "{c3}", "--a", "4000000", "--b", "0", "--trials", "3"],
+    ["dom", "{c3}", "--greedy", "--limit", "0"],
+    ["dom", "{c3}", "--ceiling", "-1"],
+    ["--budget", "0", "colorsearch", "{c3}", "--k", "2"],
+    ["--budget", "-5", "colorsearch", "{c3}", "--k", "2"],
+    ["vc", "{c3}", "--mode", "sampled", "--trials", "100001"],
 ])
 def test_bad_arguments_exit_2(argv, c3_file, tmp_path, capsys):
     colored = tmp_path / "rainbow.txt"

@@ -145,14 +145,60 @@ def test_d4_box_cover_is_pinned():
     assert digest == "8fbb55a29f6c89671f73b8d1e065366e8f8b2bf6bb49c64ac8efdd0229b0f14f"
 
 
+# sorted dominating sets of PT_q: any optimal set passes the oracle checks,
+# so these pins are what shows a change in which set the search returns
+PALEY_DOM_SETS = {
+    43: [0, 1, 5, 10],
+    47: [0, 1, 3, 38],
+    59: [0, 1, 7, 19],
+    67: [0, 1, 3, 4, 6],
+    71: [0, 1, 3, 10, 37],
+    79: [0, 1, 2, 8, 50],
+    83: [0, 1, 3, 6, 25],
+}
+
+
+def test_paley_dominating_sets_and_limit_proofs_are_pinned():
+    for q, expected in PALEY_DOM_SETS.items():
+        t, dom = paley_tournament(q), len(expected)
+        cert = min_dominating_set(t)
+        assert sorted(cert.vertices) == expected and cert.size == dom
+        assert min_dominating_set(t, limit=dom - 1) == NoSetWithinLimit(limit=dom - 1, lower_bound=dom)
+
+
+def test_random_dominating_sets_are_pinned():
+    rng = random.Random(20261018)
+    sets = []
+    for _ in range(100):
+        t = random_tournament(rng.randint(41, 99), rng)
+        sets.append(sorted(min_dominating_set(t).vertices))
+    assert sets[:3] == [[0, 10, 14, 19], [17, 25, 47], [14, 65, 78]]
+    digest = hashlib.sha256(json.dumps(sets).encode()).hexdigest()
+    assert digest == "873d654b2da2570017d905ca391130e06718079f9cfa6ec8947d278e358a31ae"
+
+
 @st.composite
-def small_tournaments(draw):
-    n = draw(st.integers(1, 9))
+def tournaments(draw, min_n, max_n):
+    n = draw(st.integers(min_n, max_n))
     return tournament_from_bits(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tournaments(10, 13))
+def test_final_levels_match_the_exhaustive_oracle(t):
+    cert = min_dominating_set(t)
+    assert dominates(t, cert.vertices)
+    assert cert.size == len(cert.vertices) == len(exhaustive_min_dominating_set(t))
+    root_lb = 1 if cert.size == 1 else 2
+    for limit in range(cert.size):
+        res = min_dominating_set(t, limit=limit)
+        assert res == NoSetWithinLimit(limit=limit, lower_bound=max(limit + 1, root_lb))
+    assert min_dominating_set(t, limit=cert.size) == cert
+    assert min_dominating_set(t, limit=cert.size + 1) == cert
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(small_tournaments())
+@given(tournaments(1, 9))
 def test_branch_and_bound_matches_oracle_and_lp_bound(t):
     lb = _ceil_tau(t)
     with mock.patch.object(simplex, "solve_lp_max", _refuse_lp):

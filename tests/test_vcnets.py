@@ -20,8 +20,6 @@ from domcover.geometry import (
 from domcover.solvers import fractional_transversal, min_dominating_set
 from domcover.vcnets import (
     best_feasible_bound,
-    binomial_multiplicative,
-    binomial_pascal,
     epsnet_feasibility,
     epsnet_sample,
     feasibility_scan,
@@ -135,6 +133,30 @@ def test_parity_shatter_cubic_bound():
             assert shatter_function(h, n) <= (n + 1) ** 3
             for k in range(n + 1):
                 assert shatter_function_k(h, n, k) <= parity_trace_bound(n, k)
+
+
+# reference binomials: two paths independent of math.comb, for cross-checks
+
+
+def binomial_pascal(n: int, k: int) -> int:
+    """C(n, k) by Pascal's triangle in plain big integers."""
+    if k < 0 or k > n:
+        return 0
+    row = [1]
+    for _ in range(n):
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+    return row[k]
+
+
+def binomial_multiplicative(n: int, k: int) -> int:
+    """C(n, k) by the factorial-free product formula."""
+    if k < 0 or k > n:
+        return 0
+    k = min(k, n - k)
+    num = 1
+    for i in range(1, k + 1):
+        num = num * (n - k + i) // i
+    return num
 
 
 def test_binomials_agree_across_paths():
