@@ -88,11 +88,12 @@ def format_points(ps: geometry.PointSet) -> str:
 def _cmd_dom(args, files):
     t = parse_tournament(_load(args.file, files))
     if args.greedy:
-        if args.limit is not None:
-            raise ValueError("--limit needs the exact search, not --greedy")
+        if args.limit is not None or args.ceiling is not None:
+            raise ValueError("--limit and --ceiling need the exact search, not --greedy")
         s = solvers.greedy_dominating_set(t)
         return {"size": len(s), "set": sorted(s), "optimal": False}
-    res = solvers.min_dominating_set(t, limit=args.limit, ceiling=args.ceiling)
+    ceiling = solvers.EXACT_DOM_CEILING if args.ceiling is None else args.ceiling
+    res = solvers.min_dominating_set(t, limit=args.limit, ceiling=ceiling)
     if isinstance(res, solvers.NoSetWithinLimit):
         return {"within_limit": False, "limit": res.limit, "lower_bound": res.lower_bound}
     return {"size": res.size, "set": sorted(res.vertices), "optimal": res.optimal}
@@ -253,14 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized commands")
     parser.add_argument("--format", choices=["json", "text"], default="json")
-    parser.add_argument("--budget", type=int, default=None, help="search node budget")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dom", help="minimum dominating set of a tournament file")
     p.add_argument("file")
     p.add_argument("--greedy", action="store_true")
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--ceiling", type=int, default=solvers.EXACT_DOM_CEILING)
+    p.add_argument("--ceiling", type=int, default=None)
     p.set_defaults(run=_cmd_dom)
 
     p = sub.add_parser("encl", help="minimum enclosure set of a colored tournament")
@@ -298,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("colorsearch", help="search for a transitive k-coloring")
     p.add_argument("file")
     p.add_argument("--k", type=int, required=True)
+    p.add_argument("--budget", type=int, default=None, help="search node budget")
     p.set_defaults(run=_cmd_colorsearch)
 
     p = sub.add_parser("vc", help="VC dimension of the domination hypergraph")

@@ -18,8 +18,10 @@ from .core import (
     ColoredTournament,
     Tournament,
     bits,
-    build_tournament,
+    build_colored_tournament,
+    class_rows,
     color_tournament,
+    frozen_rows,
     max_colors,
     rainbow_triangle,
     transitive_tournament,
@@ -60,13 +62,13 @@ def find_transitive_coloring(
         raise ValueError(f"color count {k} outside 1..{max_colors(n)}")
     if budget < 1:
         raise ValueError(f"search budget must be at least 1 node, got {budget}")
+    out = class_rows(n, k)  # per color, per vertex, bitmask
     edges = [(u, v) for u in range(n) for v in bits(t.out[u])]
     # grow the instance one vertex at a time: all edges inside {0..m} come
     # before edges touching m+1, which keeps propagation local and early
     edges.sort(key=lambda e: (max(e), min(e)))
     index = {e: i for i, e in enumerate(edges)}
     color = [0] * len(edges)
-    out = [[0] * n for _ in range(k + 1)]  # per color, per vertex, bitmask
 
     def closure_requirements(u: int, v: int, c: int):
         """Edges forced to color c when u->v joins class c."""
@@ -134,11 +136,8 @@ def find_transitive_coloring(
                 frames.append([next_unassigned(pos + 1), max(used, c), 1, []])
         return False
 
-    if not edges:
-        return color_tournament(t, k, lambda u, v: 1)
     if dfs():
-        assignment = {e: color[i] for i, e in enumerate(edges)}
-        ct = color_tournament(t, k, lambda u, v: assignment[(u, v)])
+        ct = ColoredTournament(frozen_rows(out))
         invariant(verify_transitive_coloring(ct), "search returned a non-transitive class")
         return ct
     return None
@@ -231,20 +230,15 @@ def substitute(
         for y in range(x + 1, hn):
             ox, oy = old_label(x), old_label(y)
             if ox is None and oy is None:
-                hx, hy = x - v, y - v
-                if h.base.has_edge(hx, hy):
-                    tagged.append((x, y, h.colors[hx][hy]))
-                else:
-                    tagged.append((y, x, h.colors[hy][hx]))
+                src, a, b = h, x - v, y - v
             else:
-                tx = ox if ox is not None else v
-                ty = oy if oy is not None else v
-                if t.base.has_edge(tx, ty):
-                    tagged.append((x, y, t.colors[tx][ty]))
-                else:
-                    tagged.append((y, x, t.colors[ty][tx]))
-    from .core import build_colored_tournament
-
+                src = t
+                a = ox if ox is not None else v
+                b = oy if oy is not None else v
+            if src.base.has_edge(a, b):
+                tagged.append((x, y, src.color_of(a, b)))
+            else:
+                tagged.append((y, x, src.color_of(b, a)))
     return build_colored_tournament(hn, k, tagged)
 
 
@@ -277,22 +271,13 @@ def bipartite_tournament(
         if not (0 <= x < a_size and a_size <= y < n):
             raise ValueError(f"cross edge ({x},{y}) does not go from A to B")
         cross.add((x, y))
-    edges = []
+    tagged = []
     for x in range(a_size):
         for y in range(a_size, n):
-            edges.append((x, y) if (x, y) in cross else (y, x))
+            tagged.append((x, y, 1) if (x, y) in cross else (y, x, 2))
     for side in (range(a_size), range(a_size, n)):
-        edges.extend(itertools.combinations(side, 2))
-    base = build_tournament(n, edges)
-
-    def color_of(u: int, v: int) -> int:
-        if u < a_size and v >= a_size:
-            return 1
-        if u >= a_size and v < a_size:
-            return 2
-        return 3
-
-    return color_tournament(base, 3, color_of)
+        tagged.extend((u, v, 3) for u, v in itertools.combinations(side, 2))
+    return build_colored_tournament(n, 3, tagged)
 
 
 def shattering_bipartite(a_size: int) -> ColoredTournament:
@@ -340,6 +325,6 @@ def majority_tournament(orders) -> tuple[Tournament, ColoredTournament]:
 
     index_sets = sorted({s for s in edges.values()}, key=sorted)
     color_ids = {s: i + 1 for i, s in enumerate(index_sets)}
-    base = build_tournament(n, edges.keys())
-    ct = color_tournament(base, len(index_sets), lambda u, v: color_ids[edges[(u, v)]])
-    return base, ct
+    tagged = [(u, v, color_ids[agree]) for (u, v), agree in edges.items()]
+    ct = build_colored_tournament(n, len(index_sets), tagged)
+    return ct.base, ct

@@ -3,7 +3,8 @@
 Vertices are dense integers 0..n-1.  Orientation is stored as one bitmask
 per vertex (``out[v]`` has bit ``w`` set iff the edge v->w exists), which
 makes edge queries, domination checks and set operations cheap.  Colors
-are 1-based integers 1..k; a coloring need not use every color.
+are 1-based integers 1..k; a coloring need not use every color.  A colored
+tournament stores only its classes, one out-mask per class per vertex.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Iterable, Iterator
 
 from .errors import (
     DuplicatePairError,
+    InstanceTooLargeError,
     MissingPairError,
     OutOfRangeError,
     ParseError,
@@ -145,71 +147,97 @@ def is_acyclic(t: Tournament) -> bool:
 
 @dataclass(frozen=True)
 class ColoredTournament:
-    """Tournament plus a total edge coloring into classes 1..k.
+    """Tournament whose edges are split into color classes 1..k.
 
-    colors[u][v] is the color of the edge u->v, or 0 when the edge is
-    oriented the other way.
+    class_out[c][v] masks the vertices w with an edge v->w of color c; row 0
+    is empty and fixes n.  Constructors must keep the classes disjoint and
+    make their union orient each pair u != v exactly once; base, class_in
+    and color_of are read off the masks, and scramble swaps whole rows.
     """
 
-    base: Tournament
-    k: int
-    colors: tuple[tuple[int, ...], ...]
+    class_out: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
-        return self.base.n
+        return len(self.class_out[0])
+
+    @property
+    def k(self) -> int:
+        return len(self.class_out) - 1
 
     @cached_property
-    def class_out(self) -> tuple[tuple[int, ...], ...]:
-        """class_out[i][v]: bitmask of vertices beaten by v within color i."""
-        per = [[0] * self.n for _ in range(self.k + 1)]
-        for u in range(self.n):
-            row = self.colors[u]
-            for v in bits(self.base.out[u]):
-                per[row[v]][u] |= 1 << v
-        return tuple(tuple(r) for r in per)
+    def base(self) -> Tournament:
+        out = [0] * self.n
+        for row in self.class_out[1:]:
+            for v, m in enumerate(row):
+                out[v] |= m
+        return Tournament(self.n, tuple(out))
 
     @cached_property
     def class_in(self) -> tuple[tuple[int, ...], ...]:
-        per = [[0] * self.n for _ in range(self.k + 1)]
-        for u in range(self.n):
-            row = self.colors[u]
-            for v in bits(self.base.out[u]):
-                per[row[v]][v] |= 1 << u
-        return tuple(tuple(r) for r in per)
+        """class_in[i][v]: bitmask of vertices beating v within color i."""
+        per = class_rows(self.n, self.k)
+        for row, src in zip(per, self.class_out):
+            for u, m in enumerate(src):
+                for v in bits(m):
+                    row[v] |= 1 << u
+        return frozen_rows(per)
 
     def color_of(self, u: int, v: int) -> int:
-        if not self.base.has_edge(u, v):
-            raise ValueError(f"no edge {u}->{v}")
-        return self.colors[u][v]
+        for c in range(1, self.k + 1):
+            if (self.class_out[c][u] >> v) & 1:
+                return c
+        raise ValueError(f"no edge {u}->{v}")
 
     def colored_edges(self) -> Iterator[tuple[int, int, int]]:
-        for u, v in self.base.edges():
-            yield (u, v, self.colors[u][v])
+        """Every edge as (u, v, color), class by class."""
+        for c in range(1, self.k + 1):
+            for u, m in enumerate(self.class_out[c]):
+                for v in bits(m):
+                    yield (u, v, c)
 
     def color_class(self, i: int) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for u, v, c in self.colored_edges() if c == i)
 
 
-def color_tournament(base: Tournament, k: int, color_of) -> ColoredTournament:
-    """Attach colors to a tournament; color_of(u, v) gives the color of edge u->v."""
-    n = base.n
-    colors = [[0] * n for _ in range(n)]
-    for u, v in base.edges():
-        c = color_of(u, v)
+# (k+1)*n mask words; a colored file may declare up to n(n-1)/2 colors,
+# so without a ceiling the class storage grows as n^3
+CLASS_MASK_CEILING = 1 << 22
+
+
+def class_rows(n: int, k: int) -> list[list[int]]:
+    """Zeroed class rows 0..k of n masks each, refused above CLASS_MASK_CEILING."""
+    if (k + 1) * n > CLASS_MASK_CEILING:
+        raise InstanceTooLargeError((k + 1) * n, CLASS_MASK_CEILING, "class mask")
+    return [[0] * n for _ in range(k + 1)]
+
+
+def frozen_rows(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Class rows as tuples; rows with no edges share one zero tuple."""
+    zero = (0,) * len(rows[0])
+    return tuple(tuple(r) if any(r) else zero for r in rows)
+
+
+def _from_triples(n: int, k: int, tagged: Iterable[tuple[int, int, int]]) -> ColoredTournament:
+    rows = class_rows(n, k)
+    for u, v, c in tagged:
         if not 1 <= c <= k:
             raise ValueError(f"color {c} of edge ({u},{v}) outside 1..{k}")
-        colors[u][v] = c
-    return ColoredTournament(base, k, tuple(tuple(r) for r in colors))
+        rows[c][u] |= 1 << v
+    return ColoredTournament(frozen_rows(rows))
+
+
+def color_tournament(base: Tournament, k: int, color_of) -> ColoredTournament:
+    """Attach colors to a tournament; color_of(u, v) gives the color of edge u->v."""
+    return _from_triples(base.n, k, ((u, v, color_of(u, v)) for u, v in base.edges()))
 
 
 def build_colored_tournament(
     n: int, k: int, colored_edges: Iterable[tuple[int, int, int]]
 ) -> ColoredTournament:
     tagged = list(colored_edges)
-    base = build_tournament(n, [(u, v) for u, v, _ in tagged])
-    by_edge = {(u, v): c for u, v, c in tagged}
-    return color_tournament(base, k, lambda u, v: by_edge[(u, v)])
+    build_tournament(n, [(u, v) for u, v, _ in tagged])
+    return _from_triples(n, k, tagged)
 
 
 def monochromatic(t: Tournament) -> ColoredTournament:
@@ -218,8 +246,7 @@ def monochromatic(t: Tournament) -> ColoredTournament:
 
 
 def random_coloring(t: Tournament, k: int, rng) -> ColoredTournament:
-    colors = {e: rng.randint(1, k) for e in t.edges()}
-    return color_tournament(t, k, lambda u, v: colors[(u, v)])
+    return color_tournament(t, k, lambda u, v: rng.randint(1, k))
 
 
 # ---------------------------------------------------------------------------
@@ -257,33 +284,19 @@ def verify_transitive_coloring(ct: ColoredTournament) -> bool:
     return all(_masks_transitive(ct.class_out[i]) for i in range(1, ct.k + 1))
 
 
-def scrambled_orientation(ct: ColoredTournament, mask: Iterable[int]) -> Tournament:
-    """Base tournament of ct with every edge whose color lies in mask reversed."""
-    chosen = frozenset(mask)
-    n = ct.n
-    out = [0] * n
-    for c in range(1, ct.k + 1):
-        src = ct.class_in[c] if c in chosen else ct.class_out[c]
-        for v in range(n):
-            out[v] |= src[v]
-    return Tournament(n, tuple(out))
-
-
 def scramble(ct: ColoredTournament, mask: Iterable[int]) -> ColoredTournament:
     """Reverse every edge whose color lies in mask, keeping its color."""
     chosen = frozenset(mask)
     bad = chosen - set(range(1, ct.k + 1))
     if bad:
         raise ValueError(f"mask colors {sorted(bad)} outside 1..{ct.k}")
-    n = ct.n
-    colors = [[0] * n for _ in range(n)]
-    for u, v, c in ct.colored_edges():
-        if c in chosen:
-            u, v = v, u
-        colors[u][v] = c
-    return ColoredTournament(
-        scrambled_orientation(ct, chosen), ct.k, tuple(tuple(r) for r in colors)
-    )
+    rows = (ct.class_in[c] if c in chosen else row for c, row in enumerate(ct.class_out))
+    return ColoredTournament(tuple(rows))
+
+
+def scrambled_orientation(ct: ColoredTournament, mask: Iterable[int]) -> Tournament:
+    """Base tournament of ct with every edge whose color lies in mask reversed."""
+    return scramble(ct, mask).base
 
 
 def all_color_masks(k: int) -> list[frozenset[int]]:
@@ -451,8 +464,7 @@ def cyclic_triangle() -> Tournament:
 
 def rainbow_triangle() -> ColoredTournament:
     """The cyclic triangle with each edge its own color (1, 2, 3)."""
-    colors = {(0, 1): 1, (1, 2): 2, (2, 0): 3}
-    return color_tournament(cyclic_triangle(), 3, lambda u, v: colors[(u, v)])
+    return build_colored_tournament(3, 3, [(0, 1, 1), (1, 2, 2), (2, 0, 3)])
 
 
 def all_tournaments(n: int) -> Iterator[Tournament]:
@@ -466,5 +478,4 @@ def all_colorings(t: Tournament, k: int) -> Iterator[ColoredTournament]:
     """Every k-coloring of t's edges (k^|E| items; brute-force oracle use only)."""
     edge_list = list(t.edges())
     for combo in itertools.product(range(1, k + 1), repeat=len(edge_list)):
-        assignment = dict(zip(edge_list, combo))
-        yield color_tournament(t, k, lambda u, v: assignment[(u, v)])
+        yield _from_triples(t.n, k, ((u, v, c) for (u, v), c in zip(edge_list, combo)))

@@ -20,9 +20,10 @@ from typing import Iterable, Optional, Sequence
 
 from .core import (
     ColoredTournament,
-    Tournament,
     all_color_masks,
+    class_rows,
     dominates,
+    frozen_rows,
     scramble,
     scrambled_orientation,
 )
@@ -185,21 +186,22 @@ def _box_witness(ps: PointSet, cover: Sequence[int], s: int) -> Optional[tuple[i
 def coordinate_tournament(ps: PointSet) -> ColoredTournament:
     """Orient by the first coordinate, color by the remaining sign pattern."""
     n, d = ps.n, ps.d
-    pts = ps.points
-    k = 1 << (d - 1)
-    out = [0] * n
-    colors = [[0] * n for _ in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        p, q = (i, j) if pts[i][0] < pts[j][0] else (j, i)
-        color = 1
-        for axis in range(1, d):
-            color <<= 1
-            if pts[q][axis] < pts[p][axis]:
-                color |= 1
-        color -= (1 << (d - 1)) - 1  # binary pattern code -> 1-based color
-        out[p] |= 1 << q
-        colors[p][q] = color
-    return ColoredTournament(Tournament(n, tuple(out)), k, tuple(tuple(r) for r in colors))
+    rows = class_rows(n, 1 << (d - 1))
+    gt = []  # gt[a][p]: mask of the points above p on axis a
+    for axis in range(d):
+        above, seen = [0] * n, 0
+        for p in sorted(range(n), key=lambda i: ps.points[i][axis], reverse=True):
+            above[p] = seen
+            seen |= 1 << p
+        gt.append(above)
+    for p in range(n):
+        # halve the points above p on axis 0 by each further axis, "+" first
+        parts = [gt[0][p]]
+        for above in gt[1:]:
+            parts = [half for part in parts for half in (part & above[p], part & ~above[p])]
+        for color, part in enumerate(parts, start=1):
+            rows[color][p] = part
+    return ColoredTournament(frozen_rows(rows))
 
 
 def all_scramblings(ps: PointSet) -> list[tuple[frozenset[int], ColoredTournament]]:
@@ -502,7 +504,7 @@ def search_extremal_pointset_3d(
 
 
 def _dpll(nv: int, clauses, seed: int, conflict_budget: int):
-    """Plain DPLL with unit propagation; returns True-table or None on budget."""
+    """Plain DPLL with unit propagation: truth table, None when exhausted, or "budget"."""
     rng = random.Random(seed)
     occurs: list[list[int]] = [[] for _ in range(2 * nv + 2)]
 
@@ -558,32 +560,33 @@ def _dpll(nv: int, clauses, seed: int, conflict_budget: int):
             state[trail.pop()] = 0
 
     def search() -> bool:
-        if conflicts > conflict_budget:
-            raise SearchFailedError("budget")
-        v = max(
-            (x for x in range(1, nv + 1) if state[x] == 0),
-            key=lambda x: activity[x] + rng.random(),
-            default=0,
-        )
-        if v == 0:
-            return True
-        first = rng.choice((1, -1))
-        for pol in (first, -first):
-            mark = len(trail)
-            if push(v * pol) and search():
+        # explicit stack of [variable, polarities left, trail length before it]
+        frames: list[list] = []
+        while True:
+            if conflicts > conflict_budget:
+                raise SearchFailedError("budget")
+            v = max(
+                (x for x in range(1, nv + 1) if state[x] == 0),
+                key=lambda x: activity[x] + rng.random(),
+                default=0,
+            )
+            if v == 0:
                 return True
-            undo(mark)
-        return False
+            first = rng.choice((1, -1))
+            frames.append([v, [-first, first], len(trail)])
+            while True:  # push the next polarity, backtracking past spent frames
+                if not frames:
+                    return False
+                v, left, mark = frames[-1]
+                undo(mark)
+                if not left:
+                    frames.pop()
+                elif push(v * left.pop()):
+                    break
 
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10 * nv + 1000))
     try:
         if search():
             return [False] + [state[v] == 1 for v in range(1, nv + 1)]
         return None  # exhausted: no configuration of this size
     except SearchFailedError:
         return "budget"
-    finally:
-        sys.setrecursionlimit(old_limit)

@@ -206,6 +206,56 @@ def test_netbound_default_scan_payload_is_pinned(capsys):
     assert digest == "d39b6d8a771244eb17005d794b17c440c215fb06a4172eee936bf06b493f465c"
 
 
+# sha256 of each `result` payload (json.dumps, sort_keys=True), recorded
+# before the colouring was stored as class masks; any change of edge colour,
+# orientation or output order shows here
+PINNED_RESULTS = [
+    (["scramble", "{pt7c}", "--mask", "1,3"],
+     "49c447941b7613475102a1a9343c7a79e63e325d17650b44bfaab08ff186b7fb"),
+    (["scramble", "{blowup}", "--mask", "2"],
+     "b16814b4f2a1ce1d5ddc922be678a197620fa5f5bc1d77f19b924101980783f6"),
+    (["encl", "{pt7c}", "--method", "scramblings"],
+     "ead83f2abba3f10673195b93aeaf7eac62b0cf4a31c308526d86d6c5d4e546a0"),
+    (["encl", "{blowup}", "--method", "scramblings"],
+     "c1def9c70be4a93ec11c8c16b0c7c8483db79cbd4537c251ed6aa2e843078473"),
+    (["refute", "{pt7c}"],
+     "65406ef2628309afe8761c5227e7be1dfe228645d622ee61e44472f60c246b6a"),
+    (["colorsearch", "{pt7}", "--k", "3"],
+     "574270f970d927f3f5ae25b3c94cbac73c34dc2e5ebb10f1f204deec3acc810f"),
+    (["colorsearch", "{pt11}", "--k", "4"],  # found
+     "bfd603fcb53fc57a8270b2e04227bdd960af37a54076093af68a5f15131d2638"),
+    (["colorsearch", "{pt11}", "--k", "3"],  # proven none
+     "32d384c20165199b8115fc33e40df77418d8c742e8086d33016b86199b2672ed"),
+    (["classify", "--points", "{pts}"],
+     "716571d1561ead40a107b43b4bb60584238ae3c41bb9dab8de1be14b61669e3a"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_RESULTS)
+def test_result_payloads_are_pinned(argv, digest, tmp_path, capsys):
+    import random
+
+    from domcover.cli import format_points
+    from domcover.colorsearch import blowup_c3
+    from domcover.geometry import random_point_set
+
+    texts = {
+        "pt7c": format_colored_tournament(pt7_transitive_coloring()),
+        "blowup": format_colored_tournament(blowup_c3()),
+        "pt7": format_tournament(paley_tournament(7)),
+        "pt11": format_tournament(paley_tournament(11)),
+        "pts": format_points(random_point_set(12, 3, random.Random(3))),
+    }
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    code, report = run_cli(capsys, *[a.format(**paths) for a in argv])
+    assert code == 0
+    result = json.dumps(report["result"], sort_keys=True).encode()
+    assert hashlib.sha256(result).hexdigest() == digest
+
+
 def test_reproducible_payloads(c3_file, capsys):
     _, first = run_cli(capsys, "--seed", "9", "epsnet", c3_file, "--a", "2", "--b", "1", "--trials", "100")
     _, second = run_cli(capsys, "--seed", "9", "epsnet", c3_file, "--a", "2", "--b", "1", "--trials", "100")
@@ -244,9 +294,10 @@ def test_exit_code_parse_error(tmp_path, capsys):
     ["epsnet", "{c3}", "--a", "4000000", "--b", "0", "--trials", "3"],
     ["dom", "{c3}", "--greedy", "--limit", "0"],
     ["dom", "{c3}", "--ceiling", "-1"],
-    ["--budget", "0", "colorsearch", "{c3}", "--k", "2"],
-    ["--budget", "-5", "colorsearch", "{c3}", "--k", "2"],
+    ["colorsearch", "{c3}", "--k", "2", "--budget", "0"],
+    ["colorsearch", "{c3}", "--k", "2", "--budget", "-5"],
     ["vc", "{c3}", "--mode", "sampled", "--trials", "100001"],
+    ["dom", "{c3}", "--greedy", "--ceiling", "5"],
 ])
 def test_bad_arguments_exit_2(argv, c3_file, tmp_path, capsys):
     colored = tmp_path / "rainbow.txt"
@@ -257,14 +308,40 @@ def test_bad_arguments_exit_2(argv, c3_file, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_budget_is_a_colorsearch_option_only(c3_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--budget", "5", "dom", c3_file])
+    assert exc.value.code == 2 and "domcover: error:" in capsys.readouterr().err
+
+
+def _rainbow_text(n: int) -> str:
+    # the transitive order on n vertices, each edge its own color
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return f"{n} {len(pairs)}\n" + "".join(f"{u} {v} {c}\n" for c, (u, v) in enumerate(pairs, 1))
+
+
 def test_exit_code_instance_too_large(c3_file):
     assert main(["dom", c3_file, "--ceiling", "2"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    # (k+1)*n class masks above CLASS_MASK_CEILING: n=300 with 44,850 colors
+    ["scramble", "{rainbow}", "--mask", "1"],
+    ["colorsearch", "{t300}", "--k", "44850"],
+])
+def test_class_storage_above_the_ceiling_exits_3(argv, tmp_path, capsys):
+    rainbow = tmp_path / "rainbow300.txt"
+    rainbow.write_text(_rainbow_text(300))
+    t300 = tmp_path / "t300.txt"
+    t300.write_text(format_tournament(transitive_tournament(300)))
+    assert main([a.format(rainbow=rainbow, t300=t300) for a in argv]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_exit_code_budget_exhausted(tmp_path):
     path = tmp_path / "pt19.txt"
     path.write_text(format_tournament(paley_tournament(19)))
-    assert main(["--budget", "10", "colorsearch", str(path), "--k", "3"]) == 4
+    assert main(["colorsearch", str(path), "--k", "3", "--budget", "10"]) == 4
 
 
 def test_exit_code_missing_file():

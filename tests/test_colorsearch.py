@@ -123,7 +123,7 @@ def test_recover_rejects_wrong_inputs():
     with pytest.raises(NotTwoColoredError):
         recover_permutation(rainbow_triangle())
     bad = monochromatic(cyclic_triangle())
-    two_colored = type(bad)(bad.base, 2, bad.colors)
+    two_colored = type(bad)(bad.class_out + (bad.class_out[0],))  # add an empty class 2
     with pytest.raises(NotTransitivelyColoredError):
         recover_permutation(two_colored)
 
@@ -145,9 +145,9 @@ def test_substitute_rainbow_into_own_vertex():
     # copy occupies 0..2 and inherits vertex 0's outside edges: 0 -> old 1
     for w in range(3):
         assert grown.base.has_edge(w, 3)
-        assert grown.colors[w][3] == ct.colors[0][1]
+        assert grown.color_of(w, 3) == ct.color_of(0, 1)
         assert grown.base.has_edge(4, w)
-        assert grown.colors[4][w] == ct.colors[2][0]
+        assert grown.color_of(4, w) == ct.color_of(2, 0)
     assert grown.color_of(0, 1) == 1 and grown.color_of(1, 2) == 2
 
 
@@ -163,7 +163,7 @@ def test_blowup_c3():
     # block structure: block 0 beats block 1 entirely in color 1
     for i in range(3):
         for j in range(3, 6):
-            assert ct.base.has_edge(i, j) and ct.colors[i][j] == 1
+            assert ct.base.has_edge(i, j) and ct.color_of(i, j) == 1
     assert min_dominating_set(ct.base).size >= 3
 
 

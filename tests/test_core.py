@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domcover.core import (
+    CLASS_MASK_CEILING,
     all_colorings,
     all_color_masks,
     all_tournaments,
@@ -19,6 +20,7 @@ from domcover.core import (
     is_acyclic,
     is_enclosure,
     is_transitive_digraph,
+    max_colors,
     monochromatic,
     parse_colored_tournament,
     parse_tournament,
@@ -33,6 +35,7 @@ from domcover.core import (
 from domcover.colorsearch import permutation_tournament
 from domcover.errors import (
     DuplicatePairError,
+    InstanceTooLargeError,
     MissingPairError,
     OutOfRangeError,
     ParseError,
@@ -247,6 +250,21 @@ def test_build_colored_tournament_validates_colors():
         build_colored_tournament(2, 1, [(0, 1, 2)])
 
 
+def test_parse_refuses_class_storage_above_the_ceiling():
+    # the transitive order on 300 vertices, each edge its own color: the
+    # header is valid, but (k+1)*n class masks exceed CLASS_MASK_CEILING
+    n = 300
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    text = f"{n} {len(pairs)}\n" + "".join(f"{u} {v} {c}\n" for c, (u, v) in enumerate(pairs, 1))
+    with pytest.raises(InstanceTooLargeError) as exc:
+        parse_colored_tournament(text)
+    assert exc.value.size == (len(pairs) + 1) * n > CLASS_MASK_CEILING == exc.value.ceiling
+    # a rainbow colouring below the ceiling still parses
+    small = transitive_tournament(40)
+    ct = color_tournament(small, 780, lambda u, v: 1 + u * 40 + v - (u + 1) * (u + 2) // 2)
+    assert parse_colored_tournament(format_colored_tournament(ct)) == ct
+
+
 @st.composite
 def tournaments_up_to_12(draw):
     n = draw(st.integers(0, 12))
@@ -263,3 +281,60 @@ def test_in_masks_is_the_transpose_of_out(t):
                 transpose[v] |= 1 << u
     assert t.in_masks == tuple(transpose)
     assert t.reverse().reverse() == t
+
+
+@st.composite
+def colorings_up_to_12(draw):
+    """A tournament on n <= 12 vertices, k <= 5 colors and its pairwise color
+    table: table[u][v] is the color of u->v, 0 when the edge runs v->u."""
+    t = draw(tournaments_up_to_12())
+    k = draw(st.integers(1, 5))
+    table = [[0] * t.n for _ in range(t.n)]
+    for u, v in t.edges():
+        table[u][v] = draw(st.integers(1, k))
+    return t, k, table
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(colorings_up_to_12(), st.data())
+def test_class_masks_agree_with_a_pairwise_color_table(drawn, data):
+    t, k, table = drawn
+    n = t.n
+    triples = [(u, v, table[u][v]) for u in range(n) for v in range(n) if table[u][v]]
+    ct = build_colored_tournament(n, k, data.draw(st.permutations(triples)))
+    assert (ct.n, ct.k, ct.base) == (n, k, t)
+    for u in range(n):
+        for v in range(n):
+            if table[u][v]:
+                assert ct.color_of(u, v) == table[u][v]
+            else:
+                with pytest.raises(ValueError):
+                    ct.color_of(u, v)
+    assert sorted(ct.colored_edges()) == triples
+    for c in range(k + 1):
+        for v in range(n):
+            assert ct.class_out[c][v] == sum(1 << w for w in range(n) if c and table[v][w] == c)
+            assert ct.class_in[c][v] == sum(1 << u for u in range(n) if c and table[u][v] == c)
+    # scrambling reverses each edge whose color is in the mask, one at a time
+    mask = data.draw(st.sets(st.integers(1, k)))
+    flipped = [[0] * n for _ in range(n)]
+    for u, v, c in triples:
+        if c in mask:
+            flipped[v][u] = c
+        else:
+            flipped[u][v] = c
+    scrambled = scramble(ct, mask)
+    assert sorted(scrambled.colored_edges()) == sorted(
+        (u, v, flipped[u][v]) for u in range(n) for v in range(n) if flipped[u][v]
+    )
+    assert scrambled.base.out == tuple(
+        sum(1 << v for v in range(n) if flipped[u][v]) for u in range(n)
+    )
+    for coloring in (ct, scrambled):
+        text = format_colored_tournament(coloring)
+        if k > max_colors(n):  # more colors than a file on n vertices may declare
+            with pytest.raises(ParseError):
+                parse_colored_tournament(text)
+            continue
+        assert parse_colored_tournament(text) == coloring
+        assert format_colored_tournament(parse_colored_tournament(text)) == text

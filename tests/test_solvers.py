@@ -410,5 +410,5 @@ def test_scrambling_enclosure_color_ceiling():
     ct = random_coloring(random_tournament(4, random.Random(0)), 3, random.Random(0))
     with pytest.raises(InstanceTooLargeError):
         enclosure_via_scramblings(
-            type(ct)(ct.base, 9, ct.colors)  # pretend palette of 9 colors
+            type(ct)(ct.class_out + (ct.class_out[0],) * 6)  # pretend palette of 9 colors
         )
