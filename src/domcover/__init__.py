@@ -22,6 +22,7 @@ from .core import (
     random_coloring,
     random_tournament,
     scramble,
+    scrambled_orientations,
     transitive_tournament,
     verify_transitive_coloring,
 )

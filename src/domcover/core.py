@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import xor
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -60,6 +61,11 @@ class Tournament:
     def in_masks(self) -> tuple[int, ...]:
         full = self.full_mask
         return tuple(full ^ (1 << v) ^ m for v, m in enumerate(self.out))
+
+    @cached_property
+    def closed_out(self) -> tuple[int, ...]:
+        """closed_out[v]: v and the vertices it beats, the set v dominates."""
+        return tuple([(1 << v) | m for v, m in enumerate(self.out)])
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.out[u] >> v) & 1)
@@ -297,6 +303,26 @@ def scramble(ct: ColoredTournament, mask: Iterable[int]) -> ColoredTournament:
 def scrambled_orientation(ct: ColoredTournament, mask: Iterable[int]) -> Tournament:
     """Base tournament of ct with every edge whose color lies in mask reversed."""
     return scramble(ct, mask).base
+
+
+def scrambled_orientations(ct: ColoredTournament) -> Iterator[Tournament]:
+    """scrambled_orientation(ct, mask) for every mask of all_color_masks(ct.k), in order.
+
+    The classes are disjoint, so reversing class c XORs each out-mask with
+    the vertex's c-neighbours.  Counting from mask m-1 to m flips colours
+    1..t+1, where t counts m's trailing zeros, so each step XORs every
+    out-mask with the prefix row P[t] of those colours' neighbours.
+    """
+    yield ct.base
+    out = ct.base.out
+    prefix, acc = [], [0] * ct.n
+    for row_out, row_in in zip(ct.class_out[1:], ct.class_in[1:]):
+        acc = [a | o | i for a, o, i in zip(acc, row_out, row_in)]
+        prefix.append(acc)
+    for m in range(1, 1 << ct.k):
+        flip = prefix[(m & -m).bit_length() - 1]
+        out = tuple(map(xor, out, flip))
+        yield Tournament(ct.n, out)
 
 
 def all_color_masks(k: int) -> list[frozenset[int]]:

@@ -12,6 +12,7 @@ Coordinates are kept exact (ints or Fractions); no epsilon comparisons.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -25,7 +26,8 @@ from .core import (
     dominates,
     frozen_rows,
     scramble,
-    scrambled_orientation,
+    scrambled_orientation,  # re-exported: the single-mask form, for callers of geometry
+    scrambled_orientations,
 )
 from .errors import (
     DimensionMismatchError,
@@ -243,9 +245,7 @@ def verify_classification(ps: PointSet) -> bool:
         raise DimensionMismatchError("classification applies to 3-dimensional sets")
     ct = coordinate_tournament(ps)
     pts = ps.points
-    for mask in all_color_masks(ct.k):
-        cls = classify_scrambling_3d(mask_to_patterns(3, mask))
-        base = scrambled_orientation(ct, mask)
+    for (_, _, cls, _), base in zip(_scrambling_table(3), scrambled_orientations(ct)):
         for i in range(ps.n):
             for j in range(i + 1, ps.n):
                 if base.has_edge(i, j) != class_orientation(cls, pts[i], pts[j]):
@@ -363,6 +363,18 @@ class BoxCoverCertificate:
         }
 
 
+@functools.cache
+def _scrambling_table(d: int) -> tuple:
+    """(mask, patterns, 3-d class or None, dictatorship axis or None) per
+    scrambling of a d-dimensional coordinate tournament, in mask order."""
+    table = []
+    for mask in all_color_masks(1 << (d - 1)):
+        patterns = mask_to_patterns(d, mask)
+        cls = classify_scrambling_3d(patterns) if d == 3 else None
+        table.append((mask, patterns, cls, dictatorship_axis(d, patterns)))
+    return tuple(table)
+
+
 def _extreme_vertex(ps: PointSet, axis: int, direction: str) -> int:
     key = lambda i: ps.points[i][axis - 1]
     return min(range(ps.n), key=key) if direction == "ascending" else max(range(ps.n), key=key)
@@ -377,21 +389,20 @@ def box_cover(ps: PointSet, *, method: str = "exact") -> BoxCoverCertificate:
     returned certificate carries a box witness for every uncovered point
     and has been verified before returning.
     """
+    if method not in ("exact", "greedy"):
+        raise ValueError(f"unknown method {method!r}")
     if ps.d > SCRAMBLING_DIMENSION_CEILING:
         raise InstanceTooLargeError(ps.d, SCRAMBLING_DIMENSION_CEILING, "dimension")
     ct = coordinate_tournament(ps)
     records = []
     union: set[int] = set()
-    for mask in all_color_masks(ct.k):
-        patterns = mask_to_patterns(ps.d, mask)
-        cls = classify_scrambling_3d(patterns) if ps.d == 3 else None
-        dic = dictatorship_axis(ps.d, patterns)
+    scramblings = zip(_scrambling_table(ps.d), scrambled_orientations(ct))
+    for (mask, patterns, cls, dic), base in scramblings:
         if dic is not None:
             axis, direction = dic
             dom_set = frozenset({_extreme_vertex(ps, axis, direction)})
             kind = "dictatorship"
         else:
-            base = scrambled_orientation(ct, mask)
             if method == "exact" and ps.n <= BOX_COVER_EXACT_CEILING:
                 dom_set = min_dominating_set(base, ceiling=BOX_COVER_EXACT_CEILING).vertices
             else:

@@ -23,7 +23,7 @@ from .core import (
     dominates,
     is_enclosure,
     popcount,
-    scrambled_orientation,
+    scrambled_orientations,
 )
 from .errors import InstanceTooLargeError, InvariantError, NonConvergenceError, invariant
 
@@ -53,7 +53,7 @@ def greedy_dominating_set(t: Tournament) -> frozenset[int]:
 
     Ties go to the lowest vertex index, so the result is deterministic.
     """
-    cover = [(1 << v) | t.out[v] for v in range(t.n)]
+    cover = t.closed_out
     uncovered = t.full_mask
     chosen = []
     while uncovered:
@@ -120,14 +120,17 @@ def min_dominating_set(
         raise InstanceTooLargeError(n, ceiling, "tournament")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
-    cover = [(1 << v) | t.out[v] for v in range(t.n)]
-    hyper = [(1 << v) | t.in_masks[v] for v in range(t.n)]  # dominators of v
+    full = t.full_mask
+    cover = t.closed_out
+    # dominators of v: v and its in-neighbours, the complement of out[v]
+    hyper = [full ^ m for m in t.out]
 
     greedy = sorted(greedy_dominating_set(t))
     best_set = list(greedy)
     best = len(greedy)
-    full = t.full_mask
-    root_lb = _cover_lower_bound(full, cover)
+    # the root coverage bound: a vertex beats at least (n-1)/2 others, so
+    # it is 2 unless greedy's first vertex already dominates everything
+    root_lb = min(best, 2)
     cap = best if limit is None else min(best, limit + 1)
 
     def dfs(uncovered: int, chosen: list[int], cap: int) -> tuple[int, list[int] | None]:
@@ -344,8 +347,7 @@ def enclosure_via_scramblings(
         raise InstanceTooLargeError(ct.k, SCRAMBLING_COLOR_CEILING, "color count")
     union: set[int] = set()
     sizes = {}
-    for mask in all_color_masks(ct.k):
-        scrambled = scrambled_orientation(ct, mask)
+    for mask, scrambled in zip(all_color_masks(ct.k), scrambled_orientations(ct)):
         if exact:
             dom_set = min_dominating_set(scrambled).vertices
         else:

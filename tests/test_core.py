@@ -28,6 +28,8 @@ from domcover.core import (
     random_coloring,
     random_tournament,
     scramble,
+    scrambled_orientation,
+    scrambled_orientations,
     tournament_from_bits,
     transitive_tournament,
     verify_transitive_coloring,
@@ -338,3 +340,12 @@ def test_class_masks_agree_with_a_pairwise_color_table(drawn, data):
             continue
         assert parse_colored_tournament(text) == coloring
         assert format_colored_tournament(parse_colored_tournament(text)) == text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(colorings_up_to_12())
+def test_scrambled_orientations_walks_every_mask_in_order(drawn):
+    t, k, table = drawn
+    ct = color_tournament(t, k, lambda u, v: table[u][v])
+    walked = list(scrambled_orientations(ct))
+    assert walked == [scrambled_orientation(ct, m) for m in all_color_masks(k)]

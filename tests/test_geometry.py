@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domcover.core import (
+    all_color_masks,
     dominates,
     is_enclosure,
     scramble,
+    scrambled_orientations,
     verify_transitive_coloring,
 )
 from domcover.errors import (
@@ -120,6 +122,14 @@ def test_coordinate_tournament_matches_pairwise_sign_patterns(ps):
         assert ct.base.has_edge(p, q) and ct.color_of(p, q) == color
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(point_sets_up_to_12())
+def test_scrambled_orientations_of_coordinate_tournaments(ps):
+    ct = coordinate_tournament(ps)
+    walked = list(scrambled_orientations(ct))
+    assert walked == [scrambled_orientation(ct, m) for m in all_color_masks(ct.k)]
+
+
 def test_all_scramblings_counts():
     rng = random.Random(2)
     assert len(all_scramblings(random_point_set(3, 1, rng))) == 2
@@ -193,8 +203,6 @@ def test_dictatorship_scramblings_have_dom_one():
     rng = random.Random(33)
     ps = random_point_set(14, 3, rng)
     ct = coordinate_tournament(ps)
-    from domcover.core import all_color_masks
-
     for mask in all_color_masks(4):
         if dictatorship_axis(3, mask_to_patterns(3, mask)) is not None:
             assert min_dominating_set(scrambled_orientation(ct, mask)).size == 1
@@ -233,6 +241,13 @@ def test_box_cover_greedy_method_still_verifies():
     ps = random_point_set(40, 3, rng)
     cert = box_cover(ps, method="greedy")
     assert cert.verify(ps)
+
+
+def test_box_cover_rejects_unknown_method():
+    ps = random_point_set(6, 3, random.Random(6))
+    for method in ("exactt", "Greedy", ""):
+        with pytest.raises(ValueError, match="unknown method"):
+            box_cover(ps, method=method)
 
 
 def test_box_cover_four_dimensions():

@@ -29,6 +29,7 @@ from domcover.paley import paley_tournament, pt7_transitive_coloring
 from domcover.solvers import (
     DominationCertificate,
     NoSetWithinLimit,
+    _cover_lower_bound,
     enclosure_via_scramblings,
     exhaustive_min_dominating_set,
     fractional_transversal,
@@ -181,6 +182,27 @@ def test_random_dominating_sets_are_pinned():
 def tournaments(draw, min_n, max_n):
     n = draw(st.integers(min_n, max_n))
     return tournament_from_bits(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+
+
+def _check_search_setup(t):
+    # the root coverage bound is read off the greedy size, and the dominator
+    # masks off the complement of out
+    greedy = greedy_dominating_set(t)
+    assert min(len(greedy), 2) == _cover_lower_bound(t.full_mask, t.closed_out)
+    for v in range(t.n):
+        assert t.closed_out[v] == (1 << v) | t.out[v]
+        assert t.full_mask ^ t.out[v] == (1 << v) | t.in_masks[v]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tournaments(0, 12))
+def test_search_setup_identities(t):
+    _check_search_setup(t)
+
+
+def test_search_setup_identities_on_paley_tournaments():
+    for q in (3, 7, 11, 19, 23, 31, *PALEY_DOM_SETS):
+        _check_search_setup(paley_tournament(q))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
