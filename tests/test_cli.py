@@ -11,6 +11,7 @@ from domcover.core import (
     parse_colored_tournament,
     parse_tournament,
     rainbow_triangle,
+    random_tournament,
     transitive_tournament,
 )
 from domcover.paley import paley_tournament, pt7_transitive_coloring
@@ -207,8 +208,9 @@ def test_netbound_default_scan_payload_is_pinned(capsys):
 
 
 # sha256 of each `result` payload (json.dumps, sort_keys=True), recorded
-# before the colouring was stored as class masks; any change of edge colour,
-# orientation or output order shows here
+# before the colouring was stored as class masks (the `lp` and `epsnet` ones
+# before the simplex kept only its nonbasic columns); any change of edge
+# colour, orientation, pivot order or output order shows here
 PINNED_RESULTS = [
     (["scramble", "{pt7c}", "--mask", "1,3"],
      "49c447941b7613475102a1a9343c7a79e63e325d17650b44bfaab08ff186b7fb"),
@@ -228,6 +230,20 @@ PINNED_RESULTS = [
      "32d384c20165199b8115fc33e40df77418d8c742e8086d33016b86199b2672ed"),
     (["classify", "--points", "{pts}"],
      "716571d1561ead40a107b43b4bb60584238ae3c41bb9dab8de1be14b61669e3a"),
+    (["lp", "{c3}"],
+     "7937d9b5fb8aa1632da5422db64b772d8d3aa826714141703e74f2f7d48d79c5"),
+    (["lp", "{pt7}"],
+     "4ecd5d24c4c76b57131e963f77cb5c5d1843c7de68b9da5c8d068cd82c88b05a"),
+    (["lp", "{pt11}"],
+     "e23d45b32030495bc4c7d939c32a1bab3f796afb7fdf527174ca9a2fad0f8bc4"),
+    (["lp", "{trans}"],
+     "0d36934f9f3f7f53502f80d1b668b0cc771093912291481f2faf0a49d3b93610"),
+    (["lp", "{rand24}"],
+     "d4e39df4f2203a6fd76a90fa464c2d7cbb5a0c27b97c461951a1e0c58644a586"),
+    (["lp", "{rand40}"],
+     "f18460440ad3c366221a7d712ddd5b1549d264f2abc3910c816722346df6f21d"),
+    (["--seed", "3", "epsnet", "{rand40}", "--a", "4", "--b", "3", "--trials", "200"],
+     "3927dc97582539ebf010b136fdb91a5a102eef43d3b5caced107c8da09626897"),
 ]
 
 
@@ -245,6 +261,10 @@ def test_result_payloads_are_pinned(argv, digest, tmp_path, capsys):
         "pt7": format_tournament(paley_tournament(7)),
         "pt11": format_tournament(paley_tournament(11)),
         "pts": format_points(random_point_set(12, 3, random.Random(3))),
+        "c3": format_tournament(cyclic_triangle()),
+        "trans": format_tournament(transitive_tournament(30)),
+        "rand24": format_tournament(random_tournament(24, random.Random(24))),
+        "rand40": format_tournament(random_tournament(40, random.Random(40))),
     }
     paths = {}
     for name, text in texts.items():

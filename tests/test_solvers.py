@@ -327,6 +327,18 @@ def test_exact_transversal_weights_are_pinned():
         assert sol.weights == tuple(Fraction(w) for w in weights.split())
 
 
+def test_large_random_transversal_weights_are_pinned():
+    # GOLDEN_RANDOM_TRANSVERSALS stops at n = 24; this covers 25..40, up to
+    # EXACT_LP_CEILING, as sha256 of the (n, tau*, weights) list
+    rng = random.Random(25)
+    rows = []
+    for n in range(25, 41):
+        sol = fractional_transversal(domination_hypergraph(random_tournament(n, rng)))
+        rows.append([n, str(sol.value), [str(w) for w in sol.weights]])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "ed9573ecf05545bd47ac177c0bb92b2b1c21cbccc42435e7f7c4bcbc171a1cc3"
+
+
 def test_tau_star_below_two_and_duality():
     rng = random.Random(77)
     for _ in range(60):
