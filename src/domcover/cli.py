@@ -102,6 +102,8 @@ def _cmd_dom(args, files):
 def _cmd_encl(args, files):
     ct = parse_colored_tournament(_load(args.file, files))
     if args.method == "exhaustive":
+        if args.greedy_fallback:
+            raise ValueError("--greedy-fallback needs --method scramblings")
         s = solvers.min_enclosure_set(ct)
         return {"size": len(s), "set": sorted(s), "method": "exhaustive"}
     res = solvers.enclosure_via_scramblings(ct, exact=not args.greedy_fallback)
@@ -128,6 +130,8 @@ def _cmd_scramble(args, files):
 
 
 def _cmd_classify(args, files):
+    if args.ranks and not args.points:
+        raise ValueError("--ranks needs --points")
     rows = []
     counts: dict[str, int] = {}
     for mask in geometry.sign_pattern_masks():
@@ -182,9 +186,12 @@ def _cmd_colorsearch(args, files):
 
 
 def _cmd_vc(args, files):
+    if args.mode == "exact" and args.trials is not None:
+        raise ValueError("--trials needs --mode sampled")
     t = parse_tournament(_load(args.file, files))
+    trials = vcnets.SAMPLED_TRIALS_DEFAULT if args.trials is None else args.trials
     rep = vcnets.vc_dimension(
-        domination_hypergraph(t), mode=args.mode, seed=args.seed or 0, trials=args.trials
+        domination_hypergraph(t), mode=args.mode, seed=args.seed or 0, trials=trials
     )
     return {
         "vc": rep.vc,
@@ -196,26 +203,19 @@ def _cmd_vc(args, files):
 
 def _cmd_lp(args, files):
     t = parse_tournament(_load(args.file, files))
-    sol = solvers.fractional_transversal(domination_hypergraph(t), mode=args.mode)
-    if sol.mode == "exact":
-        return {
-            "mode": "exact",
-            "value": _frac(sol.value),
-            "dual_value": _frac(sol.dual_value),
-            "weights": [_frac(w) for w in sol.weights],
-        }
+    sol = solvers.fractional_transversal(domination_hypergraph(t))
     return {
-        "mode": "approximate",
-        "value": sol.value,
-        "dual_value": sol.dual_value,
-        "weights": list(sol.weights),
+        "mode": "exact",
+        "value": _frac(sol.value),
+        "dual_value": _frac(sol.dual_value),
+        "weights": [_frac(w) for w in sol.weights],
     }
 
 
 def _cmd_epsnet(args, files):
     t = parse_tournament(_load(args.file, files))
     h = domination_hypergraph(t)
-    sol = solvers.fractional_transversal(h, mode="exact")
+    sol = solvers.fractional_transversal(h)
     rep = vcnets.epsnet_sample(
         h, sol.weights, args.a, args.b, trials=args.trials, seed=args.seed or 0
     )
@@ -232,12 +232,18 @@ def _cmd_epsnet(args, files):
 
 def _cmd_netbound(args, files):
     if args.scan:
-        reports = vcnets.feasibility_scan(args.amax, args.bmax, args.variant)
+        if args.a is not None or args.b is not None:
+            raise ValueError("--a and --b do not apply to --scan")
+        amax = vcnets.NETBOUND_SCAN_DEFAULT if args.amax is None else args.amax
+        bmax = vcnets.NETBOUND_SCAN_DEFAULT if args.bmax is None else args.bmax
+        reports = vcnets.feasibility_scan(amax, bmax, args.variant)
         return {
             "variant": args.variant,
             "feasible": [r.to_json_dict() for r in reports],
             "best_bound": min((r.a for r in reports), default=None),
         }
+    if args.amax is not None or args.bmax is not None:
+        raise ValueError("--amax and --bmax need --scan")
     if args.a is None or args.b is None:
         raise ParseError(0, "netbound needs --a and --b (or --scan)")
     return vcnets.epsnet_feasibility(args.a, args.b, args.variant).to_json_dict()
@@ -304,12 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vc", help="VC dimension of the domination hypergraph")
     p.add_argument("file")
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--trials", type=int, default=None, help="subsets drawn per size (sampled)")
     p.set_defaults(run=_cmd_vc)
 
     p = sub.add_parser("lp", help="fractional transversal of the domination hypergraph")
     p.add_argument("file")
-    p.add_argument("--mode", choices=["exact", "approximate"], default="exact")
     p.set_defaults(run=_cmd_lp)
 
     p = sub.add_parser("epsnet", help="empirical half-net sampling")
@@ -324,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, default=None)
     p.add_argument("--variant", choices=["cube", "halved", "refined"], default="refined")
     p.add_argument("--scan", action="store_true")
-    p.add_argument("--amax", type=int, default=40)
-    p.add_argument("--bmax", type=int, default=40)
+    p.add_argument("--amax", type=int, default=None)
+    p.add_argument("--bmax", type=int, default=None)
     p.set_defaults(run=_cmd_netbound)
 
     return parser

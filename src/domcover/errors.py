@@ -123,15 +123,6 @@ class InfeasibleWeightsError(DomcoverError, ValueError):
     pass
 
 
-class NonConvergenceError(DomcoverError):
-    """Approximate LP failed to certify the requested primal/dual gap."""
-
-    def __init__(self, gap, tol):
-        self.gap = gap
-        self.tol = tol
-        super().__init__(f"primal/dual gap {gap} exceeds tolerance {tol}")
-
-
 class LPInfeasibleError(DomcoverError):
     pass
 

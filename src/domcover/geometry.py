@@ -25,7 +25,6 @@ from .core import (
     class_rows,
     dominates,
     frozen_rows,
-    scramble,
     scrambled_orientation,  # re-exported: the single-mask form, for callers of geometry
     scrambled_orientations,
 )
@@ -53,17 +52,9 @@ def pattern_to_color(d: int, pattern: SignPattern) -> int:
     return sign_patterns(d).index(tuple(pattern)) + 1
 
 
-def color_to_pattern(d: int, color: int) -> SignPattern:
-    return sign_patterns(d)[color - 1]
-
-
 def mask_to_patterns(d: int, mask: Iterable[int]) -> frozenset:
     pats = sign_patterns(d)
     return frozenset(pats[c - 1] for c in mask)
-
-
-def patterns_to_mask(d: int, patterns: Iterable[SignPattern]) -> frozenset[int]:
-    return frozenset(pattern_to_color(d, p) for p in patterns)
 
 
 def _coerce(value):
@@ -204,14 +195,6 @@ def coordinate_tournament(ps: PointSet) -> ColoredTournament:
         for color, part in enumerate(parts, start=1):
             rows[color][p] = part
     return ColoredTournament(frozen_rows(rows))
-
-
-def all_scramblings(ps: PointSet) -> list[tuple[frozenset[int], ColoredTournament]]:
-    """All 2^(2^(d-1)) scrambled coordinate tournaments of ps."""
-    if ps.d > SCRAMBLING_DIMENSION_CEILING:
-        raise InstanceTooLargeError(ps.d, SCRAMBLING_DIMENSION_CEILING, "dimension")
-    ct = coordinate_tournament(ps)
-    return [(mask, scramble(ct, mask)) for mask in all_color_masks(ct.k)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ edge coloring with all classes transitive can exist.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -19,7 +18,6 @@ from .core import (
     Tournament,
     bits,
     build_colored_tournament,
-    dominates,
     mask_of,
     popcount,
     verify_transitive_coloring,
@@ -30,10 +28,10 @@ from .errors import (
     NotPrimeError,
     WrongResidueClassError,
 )
+from .solvers import NoSetWithinLimit, min_dominating_set
 
 # PT_q costs q^2: q bitmasks of q bits, q(q-1)/2 edge lines as text
 PRIME_CEILING = 2048
-PARADOX_BUDGET = 10_000_000
 
 
 def _is_prime(q: int) -> bool:
@@ -279,14 +277,10 @@ def refute_transitive_coloring(ct: ColoredTournament) -> RefutationReport:
     )
 
 
-def is_k_paradoxical(t: Tournament, k: int, *, budget: int = PARADOX_BUDGET) -> bool:
-    """True iff no k vertices dominate t; checked by exhaustive enumeration."""
-    import math
+def is_k_paradoxical(t: Tournament, k: int) -> bool:
+    """True iff no k vertices dominate t, i.e. dom(t) > k.
 
-    total = math.comb(t.n, k)
-    if total > budget:
-        raise InstanceTooLargeError(total, budget, "subset count")
-    for combo in itertools.combinations(range(t.n), k):
-        if dominates(t, combo):
-            return False
-    return True
+    Asks branch and bound for a limit proof, so it shares
+    min_dominating_set's ceiling of EXACT_DOM_CEILING vertices.
+    """
+    return isinstance(min_dominating_set(t, limit=k), NoSetWithinLimit)

@@ -3,7 +3,7 @@
 Minimum dominating sets (branch and bound over the domination hypergraph),
 minimum enclosure sets (cardinality-increasing exhaustive search), the
 scrambling-union enclosure construction, and the fractional transversal /
-matching LP pair in exact-rational or approximate mode.
+matching LP pair, solved exactly in rationals.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .core import (
     popcount,
     scrambled_orientations,
 )
-from .errors import InstanceTooLargeError, InvariantError, NonConvergenceError, invariant
+from .errors import InstanceTooLargeError, InvariantError, invariant
 
 EXACT_DOM_CEILING = 100
 EXACT_LP_CEILING = 40
@@ -216,89 +216,37 @@ def exhaustive_min_dominating_set(t: Tournament) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    weights: tuple
-    value: Fraction | float
-    mode: str
-    dual_value: Fraction | float
+    weights: tuple[Fraction, ...]
+    value: Fraction
+    mode: str  # always "exact"
+    dual_value: Fraction  # equals value by strong duality
 
 
 def fractional_transversal(h: Hypergraph, mode: str = "exact") -> FractionalSolution:
-    """Optimal fractional transversal of h (tau*).
+    """Optimal fractional transversal of h (tau*), in exact rationals.
 
-    Exact mode solves the matching LP with the rational simplex and reads
-    the transversal off its exactly checked dual, so value and dual_value
-    agree by strong duality; the weights are one optimal transversal, not
-    a canonical one.  Approximate mode runs HiGHS and certifies a
-    primal/dual gap below 1e-9.
+    Solves the matching LP max 1.y st inc^T y <= 1 with the rational
+    simplex.  It starts feasible from the slack basis (no phase 1), and
+    the dual that solve_lp_max checks exactly is an optimal covering of
+    every hyperedge, so tau* = nu* and value equals dual_value.  The
+    weights are one optimal transversal, not a canonical one.
     """
-    if mode == "exact":
-        if h.n > EXACT_LP_CEILING:
-            raise InstanceTooLargeError(h.n, EXACT_LP_CEILING, "hypergraph")
-        return _exact_transversal(h)
-    if mode == "approximate":
-        return _approximate_transversal(h)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _incidence(h: Hypergraph):
-    rows = []
-    for m in h.edge_masks:
-        rows.append([1 if (m >> v) & 1 else 0 for v in range(h.n)])
-    return rows
-
-
-def _exact_transversal(h: Hypergraph) -> FractionalSolution:
-    inc = _incidence(h)
-    # matching LP: max 1.y st inc^T y <= 1.  It starts feasible from the
-    # slack basis (no phase 1), and the dual that solve_lp_max checks
-    # exactly is an optimal covering of every hyperedge: tau* = nu*.
-    cols = [[row[v] for row in inc] for v in range(h.n)]
-    nu, _, x = simplex.solve_lp_max([1] * len(inc), cols, [1] * h.n)
+    if mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}; only 'exact' is supported")
+    if h.n > EXACT_LP_CEILING:
+        raise InstanceTooLargeError(h.n, EXACT_LP_CEILING, "hypergraph")
+    masks = h.edge_masks
+    cols = [[(m >> v) & 1 for m in masks] for v in range(h.n)]
+    nu, _, x = simplex.solve_lp_max([1] * len(masks), cols, [1] * h.n)
     return FractionalSolution(weights=tuple(x), value=nu, mode="exact", dual_value=nu)
-
-
-def _approximate_transversal(h: Hypergraph, tol: float = 1e-9) -> FractionalSolution:
-    from scipy.optimize import linprog
-
-    inc = _incidence(h)
-    n = h.n
-    res = linprog(
-        c=[1.0] * n,
-        A_ub=[[-a for a in row] for row in inc],
-        b_ub=[-1.0] * len(inc),
-        bounds=[(0, None)] * n,
-        method="highs",
-    )
-    if not res.success:
-        raise NonConvergenceError(float("nan"), tol)
-    primal = float(res.fun)
-    duals = [max(0.0, -m) for m in res.ineqlin.marginals]
-    # dual objective of the covering LP: sum of edge duals, feasible by HiGHS
-    dual = sum(duals)
-    gap = abs(primal - dual)
-    if gap > tol:
-        raise NonConvergenceError(gap, tol)
-    return FractionalSolution(
-        weights=tuple(float(v) for v in res.x),
-        value=primal,
-        mode="approximate",
-        dual_value=dual,
-    )
 
 
 def verify_fractional_transversal(h: Hypergraph, sol: FractionalSolution) -> bool:
     if any(w < 0 or w > 1 for w in sol.weights):
         return False
-    if sum(sol.weights) != sol.value and sol.mode == "exact":
+    if sum(sol.weights) != sol.value:
         return False
-    for members in h.edges:
-        total = sum(sol.weights[v] for v in members)
-        if sol.mode == "exact":
-            if total < 1:
-                return False
-        elif total < 1 - 1e-9:
-            return False
-    return True
+    return all(sum(sol.weights[v] for v in members) >= 1 for members in h.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,10 @@ from .errors import InfeasibleWeightsError, InstanceTooLargeError
 VC_EXHAUSTIVE_CEILING = 22
 SHATTER_SUBSET_BUDGET = 2_000_000
 NETBOUND_SCAN_CEILING = 200  # largest a_max or b_max a feasibility scan takes
+NETBOUND_SCAN_DEFAULT = 40  # a_max and b_max of `netbound --scan` when not given
 EPSNET_DRAW_BUDGET = 10**7  # largest trials * net_size an epsnet sample takes
 SAMPLED_TRIALS_BUDGET = 10**5  # most subsets a sampled scan draws per size
+SAMPLED_TRIALS_DEFAULT = 2000  # subsets a sampled scan draws per size when not given
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ def vc_dimension(
     mode: str = "exact",
     *,
     seed: int = 0,
-    trials: int = 2000,
+    trials: int = SAMPLED_TRIALS_DEFAULT,
 ) -> ShatterReport:
     """Largest shattered subset size, with a witness.
 

@@ -224,7 +224,7 @@ def test_criterion_10_discrepancy_bound():
 def test_criterion_11_pt67_two_paradoxical():
     started = time.monotonic()
     assert is_k_paradoxical(paley_tournament(67), 2)
-    _report(11, 1, started, "all 2211 pairs fail to dominate PT_67")
+    _report(11, 1, started, "branch and bound proves no pair dominates PT_67")
 
 
 def test_criterion_12_permutation_roundtrip():

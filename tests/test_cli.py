@@ -318,6 +318,11 @@ def test_exit_code_parse_error(tmp_path, capsys):
     ["colorsearch", "{c3}", "--k", "2", "--budget", "-5"],
     ["vc", "{c3}", "--mode", "sampled", "--trials", "100001"],
     ["dom", "{c3}", "--greedy", "--ceiling", "5"],
+    ["encl", "{colored}", "--greedy-fallback"],
+    ["classify", "--ranks"],
+    ["netbound", "--scan", "--a", "17"],
+    ["netbound", "--a", "17", "--b", "14", "--amax", "3"],
+    ["vc", "{c3}", "--trials", "7"],
 ])
 def test_bad_arguments_exit_2(argv, c3_file, tmp_path, capsys):
     colored = tmp_path / "rainbow.txt"
@@ -331,6 +336,12 @@ def test_bad_arguments_exit_2(argv, c3_file, tmp_path, capsys):
 def test_budget_is_a_colorsearch_option_only(c3_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--budget", "5", "dom", c3_file])
+    assert exc.value.code == 2 and "domcover: error:" in capsys.readouterr().err
+
+
+def test_lp_has_no_mode_option(c3_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lp", c3_file, "--mode", "approximate"])
     assert exc.value.code == 2 and "domcover: error:" in capsys.readouterr().err
 
 

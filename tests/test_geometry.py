@@ -23,7 +23,6 @@ from domcover.errors import (
     SearchFailedError,
 )
 from domcover.geometry import (
-    all_scramblings,
     box_contains,
     box_cover,
     class_orientation,
@@ -98,8 +97,9 @@ def test_coordinate_tournament_random_3d_verifies():
     ct = coordinate_tournament(random_point_set(20, 3, rng))
     assert ct.k == 4
     assert verify_transitive_coloring(ct)
-    for mask, scrambled in all_scramblings(random_point_set(8, 3, rng)):
-        assert verify_transitive_coloring(scrambled)
+    small = coordinate_tournament(random_point_set(8, 3, rng))
+    for m in all_color_masks(small.k):
+        assert verify_transitive_coloring(scramble(small, m))
 
 
 @st.composite
@@ -132,11 +132,11 @@ def test_scrambled_orientations_of_coordinate_tournaments(ps):
 
 def test_all_scramblings_counts():
     rng = random.Random(2)
-    assert len(all_scramblings(random_point_set(3, 1, rng))) == 2
-    assert len(all_scramblings(random_point_set(3, 2, rng))) == 4
-    assert len(all_scramblings(random_point_set(3, 3, rng))) == 16
+    for d, count in ((1, 2), (2, 4), (3, 16)):
+        ct = coordinate_tournament(random_point_set(3, d, rng))
+        assert len(list(scrambled_orientations(ct))) == count
     with pytest.raises(InstanceTooLargeError):
-        all_scramblings(random_point_set(3, 5, rng))
+        box_cover(random_point_set(3, 5, rng))
 
 
 def test_scrambled_orientation_matches_scramble():

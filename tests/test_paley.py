@@ -190,9 +190,10 @@ def test_paradoxical_examples():
     assert is_k_paradoxical(paley_tournament(19), 3)
 
 
-def test_paradoxical_budget():
+def test_paradoxical_ceiling():
+    # the limit proof is branch and bound, so it shares its vertex ceiling
     with pytest.raises(InstanceTooLargeError):
-        is_k_paradoxical(paley_tournament(67), 5, budget=1000)
+        is_k_paradoxical(paley_tournament(103), 2)
 
 
 def test_smallest_paradoxical_sizes():

@@ -25,7 +25,7 @@ from domcover.core import (
 )
 from domcover.errors import InstanceTooLargeError
 from domcover.geometry import box_cover, coordinate_tournament, random_point_set
-from domcover.paley import paley_tournament, pt7_transitive_coloring
+from domcover.paley import is_k_paradoxical, paley_tournament, pt7_transitive_coloring
 from domcover.solvers import (
     DominationCertificate,
     NoSetWithinLimit,
@@ -220,6 +220,12 @@ def test_final_levels_match_the_exhaustive_oracle(t):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
+@given(tournaments(1, 10), st.integers(0, 4))
+def test_is_k_paradoxical_matches_the_exhaustive_oracle(t, k):
+    assert is_k_paradoxical(t, k) == (len(exhaustive_min_dominating_set(t)) > k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(tournaments(1, 9))
 def test_branch_and_bound_matches_oracle_and_lp_bound(t):
     lb = _ceil_tau(t)
@@ -369,13 +375,27 @@ def test_exact_mode_ceiling():
         fractional_transversal(domination_hypergraph(transitive_tournament(41)))
 
 
-def test_approximate_mode_matches_exact():
+def test_exact_value_matches_highs():
+    from scipy.optimize import linprog
+
     rng = random.Random(9)
     for _ in range(10):
         h = domination_hypergraph(random_tournament(rng.randint(2, 15), rng))
         exact = fractional_transversal(h).value
-        approx = fractional_transversal(h, mode="approximate")
-        assert abs(approx.value - float(exact)) < 1e-7
+        # covering LP min 1.x st every hyperedge has weight >= 1, x >= 0
+        ref = linprog(
+            [1.0] * h.n,
+            A_ub=[[-float((m >> v) & 1) for v in range(h.n)] for m in h.edge_masks],
+            b_ub=[-1.0] * h.n,
+            bounds=[(0, None)] * h.n,
+            method="highs",
+        )
+        assert ref.success and abs(ref.fun - float(exact)) < 1e-7
+
+
+def test_only_exact_mode_exists():
+    with pytest.raises(ValueError):
+        fractional_transversal(domination_hypergraph(cyclic_triangle()), mode="approximate")
 
 
 def test_singleton_edge_forces_weight_one():
